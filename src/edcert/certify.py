@@ -28,7 +28,7 @@ is reported inconclusive, never as "reducible": the criterion is one-sided.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_arith import (
@@ -78,33 +78,33 @@ def phi(A: FormalPoly, t: Rational | int) -> Fraction:
     t = _coerce(t)
     deriv = A.derivative().eval(t)
     if deriv == 0:
-        raise ValueError("phi undefined: derivative vanishes at t")
+        raise ValueError("phi undefined: A'(t) = 0")
     return t - A.formal_degree * A.eval(t) / deriv
 
 
 def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly]:
     """Member [[t, phi(t)], [1, 1]] of the one-parameter family, applied to A.
 
-    The determinant is t - phi(t) = n A(t)/A'(t), so A(t) = 0 (singular
-    matrix) and A'(t) = 0 (phi undefined) are rejected separately.
+    The determinant is t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected
+    by phi and A(t) = 0 by Mat2 as a singular matrix, both with ValueError.
     """
-    t = _coerce(t)
-    deriv = A.derivative().eval(t)
-    if deriv == 0:
-        raise ValueError("one-parameter member undefined: A'(t) = 0")
-    value = A.eval(t)
-    if value == 0:
-        raise ValueError("one-parameter member undefined: A(t) = 0 makes the matrix singular")
-    m = Mat2(t, t - A.formal_degree * value / deriv, 1, 1)
+    m = Mat2(t, phi(A, t), 1, 1)
     return m, act(A, m)
 
 
 @dataclass(frozen=True)
 class CandidatePrimes:
-    """Primes that could possibly admit a witness, plus a completeness flag."""
+    """Primes that could possibly admit a witness, plus a completeness flag.
+
+    ``upper`` and ``lower`` are the (matrix, polynomial) pairs of U(A) and
+    L(A) the ratios were read from, None where they were not built; they let
+    the search reuse them and take no part in equality.
+    """
 
     primes: frozenset[int]
     complete: bool
+    upper: tuple[Mat2, FormalPoly] | None = field(default=None, compare=False)
+    lower: tuple[Mat2, FormalPoly] | None = field(default=None, compare=False)
 
 
 def candidate_primes(
@@ -140,15 +140,15 @@ def candidate_primes(
     if degenerate:
         return CandidatePrimes(frozenset(primes), False)
 
-    for transform in (upper_transform, lower_transform):
-        _, B = transform(A)
+    pairs = upper_transform(A), lower_transform(A)
+    for _, B in pairs:
         b0, bn = B.coeffs[0], B.coeffs[-1]
         if b0 == 0 or bn == 0:
             continue  # that transform cannot satisfy (D0) at any prime
         ratio = b0 / bn
         absorb(ratio.numerator)
         absorb(ratio.denominator)
-    return CandidatePrimes(frozenset(primes), complete)
+    return CandidatePrimes(frozenset(primes), complete, *pairs)
 
 
 def default_t_grid(height: int = 8) -> tuple[Fraction, ...]:
@@ -162,16 +162,10 @@ def default_t_grid(height: int = 8) -> tuple[Fraction, ...]:
 class SearchConfig:
     """Knobs for certify_search; the defaults reproduce the documented search."""
 
-    t_candidates: tuple[Fraction, ...] | None = None
     t_height: int = 8
     extra_primes: tuple[int, ...] = ()
     trial_bound: int = DEFAULT_TRIAL_BOUND
     rho_budget: int = DEFAULT_RHO_BUDGET
-
-    def resolved_t_candidates(self) -> tuple[Fraction, ...]:
-        if self.t_candidates is not None:
-            return tuple(_coerce(t) for t in self.t_candidates)
-        return default_t_grid(self.t_height)
 
 
 class Verdict(enum.Enum):
@@ -258,13 +252,12 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     cand = candidate_primes(A, trial_bound=config.trial_bound, rho_budget=config.rho_budget)
     primes = sorted(set(cand.primes) | set(config.extra_primes))
     valuations = [PAdic(p) for p in primes]  # validates extra primes up front
-    t_grid = config.resolved_t_candidates()
-    derivative = A.derivative()
     audit: list[AuditEntry] = []
 
-    # The transforms and family members do not depend on the prime.
-    upper_pair = upper_transform(A)
-    lower_pair = lower_transform(A) if A.coeffs[0] != 0 else None
+    # The transforms and family members do not depend on the prime.  With
+    # a_0 = 0 candidate_primes builds neither transform, and L(A) is undefined.
+    upper_pair = cand.upper or upper_transform(A)
+    lower_pair = cand.lower
     members: list[tuple[Mat2, FormalPoly]] | None = None
     members_skipped = 0
 
@@ -311,11 +304,11 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
 
         if members is None:
             members = []
-            for t in t_grid:
-                if derivative.eval(t) == 0 or A.eval(t) == 0:
+            for t in default_t_grid(config.t_height):
+                try:
+                    members.append(one_param_member(A, t))
+                except ValueError:  # A'(t) = 0 or A(t) = 0
                     members_skipped += 1
-                    continue
-                members.append(one_param_member(A, t))
         for m, member in members:
             report = is_ed(member, vp)
             if report.verdict:

@@ -224,17 +224,20 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def validate_certificate_json(data: dict) -> tuple[bool, str]:
+def validate_certificate_json(data: object) -> tuple[bool, str]:
     """Re-derive everything an irreducibility certificate claims.
 
     Re-parses the input, recomputes act(input, transform), compares it to the
     serialized witness, and re-runs the Eisenstein-Dumas report, comparing
-    bit for bit.  Inconclusive certificates only get a shape check.
+    bit for bit.  Inconclusive certificates only get a shape check.  Total:
+    any malformed JSON value gives (False, reason), never an exception.
     """
+    if not isinstance(data, dict):
+        return False, "malformed certificate: not a JSON object"
     try:
         A = parse_poly(data["input"], data["formal_degree"])
         verdict = data["verdict"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     if verdict == "inconclusive":
         for key in ("prime", "transform", "witness_coeffs", "report"):
@@ -245,17 +248,20 @@ def validate_certificate_json(data: dict) -> tuple[bool, str]:
         return False, f"unknown verdict {verdict!r}"
     try:
         prime = int(data["prime"])
+        vp = PAdic(prime)
         g = Mat2(*(parse_rational(x) for x in data["transform"]))
         witness = FormalPoly(tuple(parse_rational(c) for c in data["witness_coeffs"]))
         report = data["report"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(report, dict):
+            raise TypeError("report must be a JSON object")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
     if A.actual_degree != A.formal_degree:
         return False, "input's actual degree is below its formal degree"
     recomputed = act(A, g)
     if recomputed != witness:
         return False, "witness does not equal act(input, transform)"
-    rep = is_ed(witness, PAdic(prime))
+    rep = is_ed(witness, vp)
     stored = (
         report.get("d0"),
         report.get("d1"),

@@ -103,37 +103,22 @@ class Mat2:
         return MatrixShape.FULL
 
 
-def _linear_power_table(u: Fraction, w: Fraction, n: int) -> list[list[Fraction]]:
-    """Coefficient vectors of (u*x + w)^k for k = 0..n."""
-    table = [[Fraction(1)]]
-    for _ in range(n):
-        prev = table[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i] += c * w
-            nxt[i + 1] += c * u
-        table.append(nxt)
-    return table
-
-
 def act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
 
-    Expands sum a_i (ax+b)^i (cx+d)^(n-i) with precomputed binomial rows;
-    exact O(n^3) arithmetic.
+    Built from the right-action factorization of g into steps FormalPoly
+    implements (shear(t) is the Taylor shift by t, diag(s, 1) scales the
+    argument by s, the swap reverses, and a scalar u scales by u^n):
+
+        c = 0:  g = shear(b/d) diag(a/d, 1) (d I),
+        c != 0: g = shear(a/c) diag(-det/c, 1) swap diag(c, 1) shear(d/c),
+
+    the latter because (ax+b)/(cx+d) = a/c - det/(c (cx+d)).  Two O(n^2)
+    Taylor shifts at most, exact throughout.
     """
-    n = A.formal_degree
-    up = _linear_power_table(g.a, g.b, n)
-    lo = _linear_power_table(g.c, g.d, n)
-    out = [Fraction(0)] * (n + 1)
-    for i, coeff in enumerate(A.coeffs):
-        if coeff == 0:
-            continue
-        left, right = up[i], lo[n - i]
-        for j, x in enumerate(left):
-            if x == 0:
-                continue
-            for k, y in enumerate(right):
-                if y != 0:
-                    out[j + k] += coeff * x * y
-    return FormalPoly(tuple(out))
+    a, b, c, d = g.entries()
+    if c == 0:
+        return A.taylor_shift(b / d).scale_arg(a / d).scale_all(d**A.formal_degree)
+    return (
+        A.taylor_shift(a / c).scale_arg(-g.det / c).reverse().scale_arg(c).taylor_shift(d / c)
+    )

@@ -11,7 +11,6 @@ All arithmetic is exact (Fraction coefficients); values are immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -142,21 +141,18 @@ class FormalPoly:
         return FormalPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def taylor_shift(self, t: Rational | int) -> "FormalPoly":
-        """A(x + t) at the same formal degree; leading coefficient unchanged."""
+        """A(x + t) at the same formal degree; leading coefficient unchanged.
+
+        Horner's repeated synthetic division by x - t, O(n^2) exact operations.
+        """
         t = _coerce(t)
         n = self.formal_degree
         if t == 0:
             return self
-        # Row-by-row binomial accumulation, O(n^2) exact operations.
-        tpow = [Fraction(1)]
-        for _ in range(n):
-            tpow.append(tpow[-1] * t)
-        out = [Fraction(0)] * (n + 1)
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for i in range(k + 1):
-                out[i] += math.comb(k, i) * a * tpow[k - i]
+        out = list(self.coeffs)
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                out[k] += t * out[k + 1]
         return FormalPoly(tuple(out))
 
     def reverse(self) -> "FormalPoly":

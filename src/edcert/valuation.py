@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact_arith import factor, Rational
+from .exact_arith import Rational, is_probable_prime
 
 
 class _InfinityType:
@@ -107,16 +107,14 @@ def _int_val(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PAdic:
-    """The p-adic valuation v_p on Q, with primality of p checked up front."""
+    """The p-adic valuation v_p on Q, with primality of p checked up front
+    (deterministically below 3.3e24, see is_probable_prime)."""
 
     p: int
 
     def __post_init__(self):
-        if self.p < 2:
+        if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        fz = factor(self.p)
-        if not fz.complete or fz.factors != ((self.p, 1),):
-            raise ValueError(f"{self.p} is not prime (or primality could not be verified)")
 
     def val(self, q: Rational | int) -> Val:
         """v_p(q); INFINITY for q = 0, possibly negative otherwise."""

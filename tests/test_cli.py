@@ -225,6 +225,27 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--json", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda data: [],
+        lambda data: {**data, "report": None},
+        lambda data: {**data, "formal_degree": "2"},
+        lambda data: {**data, "witness_coeffs": [1, 2, 3]},
+        lambda data: {**data, "prime": "6"},
+    ],
+    ids=["list", "null-report", "string-degree", "integer-coeffs", "composite-prime"],
+)
+def test_verify_rejects_malformed_certificates(mutate, tmp_path, capsys):
+    data = mutate(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    ok, reason = validate_certificate_json(data)
+    assert not ok and "malformed" in reason
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--json", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: malformed certificate")
+
+
 def test_inconclusive_json_verifies_as_well_formed(tmp_path):
     cert = certify_search(parse_poly("x^4-14x^2+9"))
     ok, reason = validate_certificate_json(certificate_to_json(cert))

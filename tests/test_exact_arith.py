@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edcert import Factorization, Rational, factor, gcd, is_probable_prime
+from edcert import Factorization, PAdic, Rational, factor, gcd, is_probable_prime
 
 
 def test_gcd_examples():
@@ -58,6 +58,18 @@ def test_is_probable_prime_spot_checks():
     assert not is_probable_prime(561)  # Carmichael
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_strong_pseudoprime_to_first_twelve_prime_bases_is_rejected():
+    # psi_12 fools Miller-Rabin with the bases 2..37; base 41 catches it.
+    p, q = 399165290221, 798330580441
+    psi12 = 318665857834031151167461
+    assert p * q == psi12
+    assert not is_probable_prime(psi12)
+    with pytest.raises(ValueError):
+        PAdic(psi12)
+    fz = factor(psi12)
+    assert fz.complete and fz.as_dict() == {p: 1, q: 1}
 
 
 def test_rational_normalization():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from edcert import FormalPoly, Mat2, MatrixShape, act
-from helpers import random_mat
+from helpers import nonzero_fraction, random_dense_mat, random_mat, random_shaped_mat
 
 rng = random.Random(20240901)
 
@@ -81,6 +81,25 @@ def test_action_matches_elementary_transforms():
         # scalar matrices scale by u^n; [[1,0],[0,u]] is u^n A(x/u)
         assert act(A, Mat2(u, 0, 0, u)) == A.scale_all(u**n)
         assert act(A, Mat2(1, 0, 0, u)) == A.scale_arg(1 / u).scale_all(u**n)
+
+
+@pytest.mark.parametrize("shape", ["full", "upper", "lower", "upper_swap", "lower_swap"])
+def test_action_matches_substitution_by_evaluation(shape):
+    # Independent of FormalPoly's shift/scale/reverse: evaluate both sides of
+    # A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at n+2 rationals x with cx+d != 0.
+    for _ in range(40):
+        A = random_poly(max_degree=12)
+        n = A.formal_degree
+        g = random_dense_mat(rng) if shape == "full" else random_shaped_mat(rng, shape)
+        B = act(A, g)
+        xs = set()
+        while len(xs) < n + 2:
+            x = nonzero_fraction(rng, 20)
+            if g.c * x + g.d != 0:
+                xs.add(x)
+        for x in xs:
+            y = g.c * x + g.d
+            assert B.eval(x) == y**n * A.eval((g.a * x + g.b) / y)
 
 
 def test_shape_classification():
