@@ -23,6 +23,11 @@ of L(A).  The search enumerates those primes in ascending order and, per
 prime, checks A itself, U(A), L(A), then a bounded grid of t values; the
 first hit is returned as a machine-checkable certificate.  A failed search
 is reported inconclusive, never as "reducible": the criterion is one-sided.
+
+Stage 4 reads each member's endpoint coefficients before building it: the
+member [[t, phi(t)], [1, 1]] has leading coefficient A(t) and constant
+coefficient A(phi(t)), so (D0) and (D1) at p are decided by two values
+computed once per grid point, and only members passing both are built.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .exact_arith import (
     DEFAULT_TRIAL_BOUND,
     Rational,
     factor,
+    gcd,
 )
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
@@ -225,6 +231,11 @@ def _failure_reason(report: EDReport) -> str:
     return "; ".join(parts)
 
 
+def _endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
+    """(D0) and (D1) at vp for a degree-n polynomial with endpoints b0, bn."""
+    return b0 != 0 and bn != 0 and gcd(vp.val(b0) - vp.val(bn), n) == 1
+
+
 def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certificate:
     """Deterministic certificate search: primes ascending, stages 1-4, t in
     grid order; the first Eisenstein-Dumas hit wins.
@@ -234,6 +245,14 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     divide n and test U(A), L(A), and the one-parameter family on the grid.
     The input must have actual degree equal to its formal degree (n >= 2),
     since the certificate speaks about irreducibility of A itself.
+
+    Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
+    Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
+    and x^0 are sum a_i a^i c^(n-i) = c^n A(a/c) and sum a_i b^i d^(n-i) =
+    d^n A(b/d), so the member with a = t, b = phi(t), c = d = 1 has b_n = A(t)
+    and b_0 = A(phi(t)).  A member skipped at p fails (D0) or (D1) there, so
+    it could not have been a hit, and the first hit is still the first t in
+    grid order.  A built member is kept for the later primes.
 
     Candidate primes could be evaluated concurrently and reconciled by the
     same (prime, stage, t) priority order; this implementation keeps the
@@ -258,7 +277,10 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     # a_0 = 0 candidate_primes builds neither transform, and L(A) is undefined.
     upper_pair = cand.upper or upper_transform(A)
     lower_pair = cand.lower
-    members: list[tuple[Mat2, FormalPoly]] | None = None
+    # Stage 4 grid entries (t, phi(t), A(t), A(phi(t))), and the members
+    # built so far by their index in the grid.
+    grid: list[tuple[Fraction, Fraction, Fraction, Fraction]] | None = None
+    members: dict[int, tuple[Mat2, FormalPoly]] = {}
     members_skipped = 0
 
     def success(vp, stage, transform, witness, report):
@@ -302,14 +324,27 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
                 return success(vp, 3, m, lower, report)
             audit.append(AuditEntry(p, 3, _failure_reason(report)))
 
-        if members is None:
-            members = []
+        if grid is None:
+            grid = []
             for t in default_t_grid(config.t_height):
                 try:
-                    members.append(one_param_member(A, t))
-                except ValueError:  # A'(t) = 0 or A(t) = 0
+                    f = phi(A, t)
+                except ValueError:  # A'(t) = 0
                     members_skipped += 1
-        for m, member in members:
+                    continue
+                at = A.eval(t)
+                if at == 0:  # the member's matrix would be singular
+                    members_skipped += 1
+                    continue
+                grid.append((t, f, at, A.eval(f)))
+        for i, (t, f, at, af) in enumerate(grid):
+            if not _endpoints_pass(af, at, vp, n):
+                continue
+            pair = members.get(i)
+            if pair is None:
+                m = Mat2(t, f, 1, 1)
+                pair = members[i] = m, act(A, m)
+            m, member = pair
             report = is_ed(member, vp)
             if report.verdict:
                 return success(vp, 4, m, member, report)
@@ -317,7 +352,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
             AuditEntry(
                 p,
                 4,
-                f"no Eisenstein-Dumas member among {len(members)} admissible "
+                f"no Eisenstein-Dumas member among {len(grid)} admissible "
                 f"grid points ({members_skipped} skipped)",
             )
         )

@@ -235,7 +235,10 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"
     try:
-        A = parse_poly(data["input"], data["formal_degree"])
+        formal_degree = data["formal_degree"]
+        if not isinstance(formal_degree, int) or isinstance(formal_degree, bool):
+            raise TypeError(f"formal_degree must be an integer, got {formal_degree!r}")
+        A = parse_poly(data["input"], formal_degree)
         verdict = data["verdict"]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
@@ -247,8 +250,10 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     if verdict != "irreducible":
         return False, f"unknown verdict {verdict!r}"
     try:
-        prime = int(data["prime"])
-        vp = PAdic(prime)
+        prime = data["prime"]
+        if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
+            raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
+        vp = PAdic(int(prime))
         g = Mat2(*(parse_rational(x) for x in data["transform"]))
         witness = FormalPoly(tuple(parse_rational(c) for c in data["witness_coeffs"]))
         report = data["report"]
@@ -274,7 +279,7 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
         return False, f"stored report {stored} disagrees with recomputed {fresh}"
     if not rep.verdict:
         return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
-    return True, f"witness is Eisenstein-Dumas at p = {prime}"
+    return True, f"witness is Eisenstein-Dumas at p = {vp.p}"
 
 
 # -- SVG Newton polygon plots -------------------------------------------------

@@ -12,10 +12,19 @@ of Pollard's rho on the remaining cofactor, with Miller-Rabin classifying
 intermediate cofactors as prime.  If a composite cofactor survives the
 iteration budget, the partial result is returned flagged incomplete rather
 than hanging.
+
+Trial division works on blocks of primes: a module-level table holds, for
+consecutive ranges [lo, hi) about 4096 integers wide, the product of the
+primes in the range.  One gcd with that product tells whether any of those
+primes divides n, so a range without a factor costs one gcd instead of a
+division per odd number.  The table is built by a segmented sieve one range
+at a time, only as far as some call's trial division has reached; nothing is
+built at import, and only the products are kept, not the primes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,6 +40,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 500_000
+
+_SEGMENT_WIDTH = 4096
+# (lo, hi, product of the primes in [lo, hi)) for consecutive ranges from 2.
+# Extended without a lock: two threads extending it at once can append a
+# range twice, which factor() walks through again without effect.
+_SEGMENTS: list[tuple[int, int, int]] = []
 
 
 def gcd(a: int, b: int) -> int:
@@ -63,6 +78,28 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _primes_below(limit: int) -> list[int]:
+    """The primes p < limit (limit >= 2), by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return list(itertools.compress(range(limit), sieve))
+
+
+def _extend_segments() -> None:
+    """Append the next range to the table, sieving it with the primes up to
+    the square root of its end."""
+    lo = _SEGMENTS[-1][1] if _SEGMENTS else 2
+    hi = (lo // _SEGMENT_WIDTH + 1) * _SEGMENT_WIDTH
+    sieve = bytearray([1]) * (hi - lo)
+    for p in _primes_below(math.isqrt(hi - 1) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        sieve[start - lo :: p] = bytes(len(range(start, hi, p)))
+    _SEGMENTS.append((lo, hi, math.prod(itertools.compress(range(lo, hi), sieve))))
+
+
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     """Try to split composite odd n; returns (divisor or 0, iterations used)."""
     used = 0
@@ -81,7 +118,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 used += min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
@@ -91,7 +128,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, used
         # g == n with backtrack failure: retry with a fresh (y, c).
@@ -136,25 +173,43 @@ def factor(
 ) -> Factorization:
     """Factor |n| into primes under a bounded effort budget.
 
-    Raises ValueError for n == 0.  The randomized stage is seeded from n,
-    so results are reproducible run to run.
+    Trial division walks the segment table (see the module docstring) up to
+    trial_bound, extending it when it runs out, and stops at the first range
+    starting above the square root of what is left.  A range whose product
+    shares a factor with n is stripped in ascending order; its composites
+    never divide, because their prime factors lie below the range and are
+    already stripped.  Raises ValueError for n == 0.  The randomized stage
+    is seeded from the cofactor trial division leaves, so results are
+    reproducible run to run.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
     found: dict[int, int] = {}
 
-    d = 2
-    while d <= trial_bound and d * d <= n:
-        while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    lo = 2
+    for i in itertools.count():
+        if lo > trial_bound or lo * lo > n:
+            break
+        if i == len(_SEGMENTS):
+            _extend_segments()
+        lo, hi, product = _SEGMENTS[i]
+        g = math.gcd(n, product)
+        for d in range(lo, min(hi, trial_bound + 1)):
+            if g == 1 or d * d > n:
+                break
+            if g % d == 0:
+                g //= d
+                while n % d == 0:
+                    found[d] = found.get(d, 0) + 1
+                    n //= d
+        lo = hi
 
     leftover = 1
     if n > 1:
-        if d * d > n:
-            # Trial division exhausted all candidate divisors: n is prime.
+        if n < (max(trial_bound, 1) + 1) ** 2:
+            # n has no prime factor up to min(bound, sqrt(n)), and with
+            # n < (bound + 1)^2 that minimum is sqrt(n): n is prime.
             found[n] = found.get(n, 0) + 1
         else:
             rng = random.Random(n)

@@ -11,6 +11,7 @@ All arithmetic is exact (Fraction coefficients); values are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -125,12 +126,21 @@ class FormalPoly:
     __mul__ = mul
 
     def eval(self, t: Rational | int) -> Fraction:
-        """Horner evaluation, exact."""
+        """Exact value at t, by Horner's rule on integers.
+
+        With t = p/q and d the common denominator of the coefficients, the
+        sum of d a_i p^i q^(n-i) is an integer, divided once by d q^n; only
+        that last Fraction is reduced, which matters when t is tall.
+        """
         t = _coerce(t)
-        acc = Fraction(0)
+        p, q = t.numerator, t.denominator
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
+        qpow = 1
         for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+            acc = acc * p + c.numerator * (d // c.denominator) * qpow
+            qpow *= q
+        return Fraction(acc, d * (qpow // q))
 
     __call__ = eval
 

@@ -6,10 +6,12 @@ the suites must be reproducible run to run.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from edcert import FormalPoly, Mat2, PAdic
+from edcert import Factorization, FormalPoly, Mat2, PAdic
+from edcert.exact_arith import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, is_probable_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -104,3 +106,78 @@ def random_mat(rng: random.Random, bound: int = 9) -> Mat2:
             return Mat2(*entries)
         except ValueError:
             continue
+
+
+def _reference_brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """Brent's rho as it was, multiplying the batch by |x - y|."""
+    used = 0
+    while used < budget:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and used < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1 and used < budget:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                used += min(m, r - k)
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g, used
+    return 0, used
+
+
+def reference_factor(
+    n: int, *, trial_bound: int = DEFAULT_TRIAL_BOUND, rho_budget: int = DEFAULT_RHO_BUDGET
+) -> Factorization:
+    """factor() as it was before trial division moved to blocks of sieved
+    primes: division by 2 and every odd number up to the bound, then the
+    rho stage above.  The differential tests compare factor() against it."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    n = abs(n)
+    found: dict[int, int] = {}
+
+    d = 2
+    while d <= trial_bound and d * d <= n:
+        while n % d == 0:
+            found[d] = found.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+
+    leftover = 1
+    if n > 1:
+        if d * d > n:
+            found[n] = found.get(n, 0) + 1
+        else:
+            rng = random.Random(n)
+            budget = rho_budget
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if is_probable_prime(m):
+                    found[m] = found.get(m, 0) + 1
+                    continue
+                g, used = _reference_brent_rho(m, rng, budget)
+                budget -= used
+                if g == 0:
+                    leftover *= m
+                    continue
+                stack.append(g)
+                stack.append(m // g)
+
+    return Factorization(tuple(sorted(found.items())), leftover)

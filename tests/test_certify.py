@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from edcert import (
+    AuditEntry,
+    Certificate,
     FormalPoly,
     Mat2,
     SearchConfig,
@@ -18,7 +20,9 @@ from edcert import (
     phi,
     upper_transform,
 )
-from helpers import padic, random_dense_mat, random_shaped_mat
+from helpers import padic, random_dense_mat, random_int_poly, random_shaped_mat
+from edcert.certify import _endpoints_pass, _failure_reason
+from edcert.cli import certificate_to_json
 from edcert.newton_ed import random_ed_polynomial
 
 
@@ -96,6 +100,31 @@ def test_one_param_member():
         one_param_member(poly(-1, 0, 1), 0)  # A'(0) = 0
     with pytest.raises(ValueError, match="singular"):
         one_param_member(poly(-1, 0, 1), 1)  # A(1) = 0
+
+
+def test_one_param_member_endpoints_are_A_at_t_and_phi():
+    # The lemma stage 4 filters on: b_n = A(t) and b_0 = A(phi(t)), so the
+    # gate on those two values is exactly (D0) and (D1) of the member.
+    rng = random.Random(88)
+    checked = passed = 0
+    for _ in range(150):
+        A = random_int_poly(rng, min_degree=2, max_degree=8, coeff_bound=30)
+        t = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+        try:
+            _, member = one_param_member(A, t)
+        except ValueError:
+            continue
+        assert member.coeffs[-1] == A.eval(t)
+        assert member.coeffs[0] == A.eval(phi(A, t))
+        n = A.formal_degree
+        for p in (2, 3, 5, 7):
+            vp = padic(p)
+            report = is_ed(member, vp)
+            gate = _endpoints_pass(A.eval(phi(A, t)), A.eval(t), vp, n)
+            assert gate == (report.d0 and report.d1), (A, t, p)
+            passed += gate
+        checked += 1
+    assert checked >= 140 and 100 <= passed <= 4 * checked - 100
 
 
 def test_candidate_primes_examples():
@@ -261,3 +290,89 @@ def test_one_param_round_trip():
             assert m.det == n * A.eval(t) / A.derivative().eval(t)
             candidates.append(member)
         assert any(is_ed(B, v).verdict for B in candidates), (E, g, p)
+
+
+def _eager_certify_search(A, config):
+    """certify_search with stage 4 as it was: every grid member is built
+    when stage 4 first runs, and each is tested at every prime."""
+    n = A.formal_degree
+    cand = candidate_primes(A, trial_bound=config.trial_bound, rho_budget=config.rho_budget)
+    audit = []
+    upper_pair = cand.upper or upper_transform(A)
+    lower_pair = cand.lower
+    members = None
+    members_skipped = 0
+
+    def success(vp, stage, transform, witness, report):
+        return Certificate(
+            A, Verdict.IRREDUCIBLE, vp.p, stage, transform, witness, report, tuple(audit), cand.complete
+        )
+
+    for p in sorted(set(cand.primes) | set(config.extra_primes)):
+        vp = padic(p)
+        report = is_ed(A, vp)
+        if report.verdict:
+            return success(vp, 1, Mat2.identity(), A, report)
+        audit.append(AuditEntry(p, 1, _failure_reason(report)))
+        if n % p == 0:
+            audit.append(
+                AuditEntry(p, 0, f"residue characteristic {p} divides the degree {n}; stages 2-4 skipped")
+            )
+            continue
+        m, upper = upper_pair
+        report = is_ed(upper, vp)
+        if report.verdict:
+            return success(vp, 2, m, upper, report)
+        audit.append(AuditEntry(p, 2, _failure_reason(report)))
+        if lower_pair is None:
+            audit.append(AuditEntry(p, 3, "constant coefficient is zero: lower transform undefined"))
+        else:
+            m, lower = lower_pair
+            report = is_ed(lower, vp)
+            if report.verdict:
+                return success(vp, 3, m, lower, report)
+            audit.append(AuditEntry(p, 3, _failure_reason(report)))
+        if members is None:
+            members = []
+            for t in default_t_grid(config.t_height):
+                try:
+                    members.append(one_param_member(A, t))
+                except ValueError:
+                    members_skipped += 1
+        for m, member in members:
+            report = is_ed(member, vp)
+            if report.verdict:
+                return success(vp, 4, m, member, report)
+        audit.append(
+            AuditEntry(
+                p,
+                4,
+                f"no Eisenstein-Dumas member among {len(members)} admissible "
+                f"grid points ({members_skipped} skipped)",
+            )
+        )
+    return Certificate(
+        A, Verdict.INCONCLUSIVE, audit=tuple(audit), candidate_primes_complete=cand.complete
+    )
+
+
+def test_stage_four_gate_matches_eager_search():
+    # Dense draws run stage 4 at every prime coprime to n; shifted
+    # Eisenstein-Dumas draws often run it at an early prime before a later
+    # prime hits.  Every eighth draw uses the default grid, the rest a
+    # height-4 grid to keep the test fast.
+    rng = random.Random(3004)
+    ran_stage_four = certified_after_stage_four = 0
+    for i in range(200):
+        if i % 2:
+            A = random_int_poly(rng, min_degree=2, max_degree=4, coeff_bound=20)
+        else:
+            E, _ = random_ed_polynomial(rng, max_degree=4, max_unit=6, max_endpoint_val=2, extra_val=1)
+            A = E.taylor_shift(rng.choice((-1, 1)))
+        config = SearchConfig() if i % 8 == 0 else SearchConfig(t_height=4)
+        cert = certify_search(A, config)
+        assert certificate_to_json(cert) == certificate_to_json(_eager_certify_search(A, config)), A
+        if any(e.stage == 4 for e in cert.audit):
+            ran_stage_four += 1
+            certified_after_stage_four += cert.irreducible
+    assert ran_stage_four >= 100 and certified_after_stage_four >= 30

@@ -233,8 +233,32 @@ def test_verify_command(tmp_path, capsys):
         lambda data: {**data, "formal_degree": "2"},
         lambda data: {**data, "witness_coeffs": [1, 2, 3]},
         lambda data: {**data, "prime": "6"},
+        lambda data: {**data, "prime": 2.7},
+        lambda data: {**data, "prime": 2},
+        lambda data: {**data, "prime": " 2 "},
+        lambda data: {**data, "prime": "2_0"},
+        lambda data: {**data, "prime": "+2"},
+        lambda data: {**data, "prime": "\uff12"},
+        lambda data: {**data, "formal_degree": None},
+        lambda data: {**data, "formal_degree": True},
+        lambda data: {**data, "formal_degree": 2.0},
     ],
-    ids=["list", "null-report", "string-degree", "integer-coeffs", "composite-prime"],
+    ids=[
+        "list",
+        "null-report",
+        "string-degree",
+        "integer-coeffs",
+        "composite-prime",
+        "float-prime",
+        "integer-prime",
+        "padded-prime",
+        "underscore-prime",
+        "signed-prime",
+        "fullwidth-digit-prime",
+        "null-degree",
+        "bool-degree",
+        "float-degree",
+    ],
 )
 def test_verify_rejects_malformed_certificates(mutate, tmp_path, capsys):
     data = mutate(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from edcert import Factorization, PAdic, Rational, factor, gcd, is_probable_prime
+from helpers import reference_factor
 
 
 def test_gcd_examples():
@@ -42,6 +44,46 @@ def test_factor_incomplete_is_flagged_and_consistent():
     fz = factor(a * b, rho_budget=50)
     assert not fz.complete
     assert fz.product() == a * b
+
+
+def _prime_at_or_below(n):
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+def _prime_above(n):
+    n += 1
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("trial_bound", [1, 2, 3, 100, 4095, 4096, 4097, 10**6])
+def test_factor_matches_reference(trial_bound):
+    # Trial division by sieved prime blocks must leave the same cofactor to
+    # the same rho stage as division by every odd number did.
+    rng = random.Random(trial_bound)
+    below = _prime_at_or_below(max(trial_bound, 2))
+    above = _prime_above(trial_bound)
+    inputs = [rng.randrange(1, 10 ** rng.randint(1, 40)) for _ in range(12)]
+    inputs += [below**2, above**2, below * above, 6 * above**2, below**3 * 1000003]
+    # a prime just above (bound + 1)^2: no factor up to the bound, above its square
+    inputs.append(_prime_above((trial_bound + 1) ** 2))
+    inputs += [1000003 * rng.randrange(1, 10**12) for _ in range(4)]
+    inputs += [1000003**2, 999983 * 1000003, -(2**4) * 1000003]
+    for n in inputs:
+        kwargs = dict(trial_bound=trial_bound, rho_budget=20_000)
+        assert factor(n, **kwargs) == reference_factor(n, **kwargs), n
+
+
+def test_factor_matches_reference_when_rho_runs_out():
+    a, b = 10**19 + 51, 10**20 + 39
+    assert is_probable_prime(a) and is_probable_prime(b)
+    for trial_bound in (100, 10**6):
+        fz = factor(12 * a * b, trial_bound=trial_bound, rho_budget=50)
+        assert fz == reference_factor(12 * a * b, trial_bound=trial_bound, rho_budget=50)
+        assert fz.cofactor == a * b and fz.as_dict() == {2: 2, 3: 1}
 
 
 @given(st.integers(min_value=1, max_value=10**9))

@@ -120,6 +120,13 @@ def test_shift_additivity(coeffs, s, t):
     assert A.taylor_shift(s).taylor_shift(t) == A.taylor_shift(s + t)
 
 
+@settings(max_examples=100)
+@given(small_coeffs, small_rationals)
+def test_eval_matches_power_sum(coeffs, t):
+    A = FormalPoly.from_coeffs(coeffs, formal_degree=len(coeffs) + 1)
+    assert A.eval(t) == sum(c * t**i for i, c in enumerate(coeffs))
+
+
 @settings(max_examples=60)
 @given(small_coeffs, small_rationals, small_rationals)
 def test_shift_agrees_with_evaluation(coeffs, t, x):
