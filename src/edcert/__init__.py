@@ -29,11 +29,9 @@ from .newton_ed import (
     is_ed,
     is_ed_strict,
     newton_polygon,
-    random_ed_polynomial,
 )
-from .oracle import OracleVerdict, brute_irreducible
 from .poly import FormalPoly
-from .valuation import INFINITY, PAdic
+from .valuation import PAdic
 
 __version__ = "0.1.0"
 
@@ -44,18 +42,15 @@ __all__ = [
     "EDReport",
     "Factorization",
     "FormalPoly",
-    "INFINITY",
     "Mat2",
     "MatrixShape",
     "NewtonPolygon",
-    "OracleVerdict",
     "PAdic",
     "Rational",
     "SearchConfig",
     "Segment",
     "Verdict",
     "act",
-    "brute_irreducible",
     "candidate_primes",
     "certify_search",
     "default_t_grid",
@@ -69,6 +64,5 @@ __all__ = [
     "newton_polygon",
     "one_param_member",
     "phi",
-    "random_ed_polynomial",
     "upper_transform",
 ]

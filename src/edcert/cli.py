@@ -28,9 +28,14 @@ from .certify import (
 )
 from .moebius import Mat2, act
 from .newton_ed import dumas_concat_holds, is_ed, is_ed_strict, newton_polygon
-from .oracle import brute_irreducible
 from .poly import FormalPoly
 from .valuation import PAdic
+
+
+#: Largest exponent and formal degree accepted from outside; every degree the
+#: tests and the benchmark use is at most 24, and the work of the action and
+#: the search grows at least quadratically in the degree.
+MAX_DEGREE = 1000
 
 
 class PolyParseError(ValueError):
@@ -53,8 +58,11 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
     """Parse the polynomial grammar; like terms are combined.
 
     The formal degree is the largest exponent carrying a nonzero coefficient
-    unless overridden upward; an override below the actual degree is an error.
+    unless overridden upward; an override below the actual degree is an error,
+    and so is an exponent or override above MAX_DEGREE.
     """
+    if formal_degree is not None and formal_degree > MAX_DEGREE:
+        raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
     s = text
     i = 0
 
@@ -120,7 +128,11 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
             if i < len(s) and s[i] == "^":
                 i += 1
                 skip_ws()
+                exp_at = i
                 exp = read_int()
+                if exp > MAX_DEGREE:
+                    i = exp_at
+                    fail(f"exponent {exp} exceeds the limit {MAX_DEGREE}")
             else:
                 exp = 1
         if coeff is None and exp is None:
@@ -398,12 +410,9 @@ def _cmd_act(args) -> int:
 
 def _cmd_certify(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
-    extra = tuple(int(p) for p in args.primes.split(",")) if args.primes else ()
-    kwargs = {"t_height": args.t_height, "extra_primes": extra}
     budget = os.environ.get("EDCERT_RHO_BUDGET")
-    if budget:
-        kwargs["rho_budget"] = int(budget)
-    cert = certify_search(A, SearchConfig(**kwargs))
+    config = SearchConfig(rho_budget=int(budget)) if budget else SearchConfig()
+    cert = certify_search(A, config)
     if cert.irreducible:
         print("verdict: irreducible")
         print(f"prime: {cert.prime}")
@@ -453,17 +462,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_oracle(args) -> int:
-    A = parse_poly(args.poly, args.formal_degree)
-    verdict = brute_irreducible(A)
-    if verdict.irreducible:
-        print(f"{format_poly(A)}: irreducible (exhaustive search, degree <= 6)")
-        return 0
-    g, h = verdict.witness
-    print(f"{format_poly(A)}: reducible = ({format_poly(g)}) * ({format_poly(h)})")
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="edcert",
@@ -503,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="search for an irreducibility certificate")
     poly_arg(p)
-    p.add_argument("--t-height", type=int, default=8, help="height bound of the t grid (default 8)")
-    p.add_argument("--primes", help="extra candidate primes, comma-separated")
     p.add_argument("--json", metavar="FILE", help="write the certificate as JSON to FILE")
     p.set_defaults(fn=_cmd_certify)
 
@@ -517,11 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-validate a JSON certificate")
     p.add_argument("--json", required=True, metavar="FILE")
     p.set_defaults(fn=_cmd_verify)
-
-    # Undocumented desk-check hook for the brute-force oracle.
-    p = sub.add_parser("oracle")
-    poly_arg(p)
-    p.set_defaults(fn=_cmd_oracle)
 
     return ap
 

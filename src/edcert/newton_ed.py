@@ -19,8 +19,6 @@ forms are implemented and must agree.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,73 +154,3 @@ def dumas_concat_holds(A: FormalPoly, B: FormalPoly, v: PAdic) -> bool:
     for slope, length in newton_polygon(B, v).slope_lengths().items():
         merged[slope] = merged.get(slope, 0) + length
     return newton_polygon(A.mul(B), v).slope_lengths() == merged
-
-
-# -- randomized test support -------------------------------------------------
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def random_ed_polynomial(
-    rng: random.Random,
-    *,
-    prime: int | None = None,
-    degree: int | None = None,
-    min_degree: int = 2,
-    max_degree: int = 8,
-    max_endpoint_val: int = 4,
-    max_unit: int = 20,
-    extra_val: int = 2,
-    zero_prob: float = 0.15,
-    prime_coprime_to_degree: bool = False,
-) -> tuple[FormalPoly, int]:
-    """Draw a polynomial satisfying (D0)-(D2) by construction; returns (A, p).
-
-    Endpoint valuations v_0, v_n >= 0 are sampled until gcd(v_0 - v_n, n) = 1,
-    then a_i = p^e_i * u_i with e_i at least ceil(((n-i)v_0 + i*v_n) / n),
-    exactly v_0 and v_n at the endpoints, and units u_i coprime to p.
-    Interior coefficients may be zeroed with probability zero_prob.
-    """
-    if degree is None:
-        candidates = [
-            m
-            for m in range(min_degree, max_degree + 1)
-            if not (prime_coprime_to_degree and prime is not None and m % prime == 0)
-        ]
-        if not candidates:
-            raise ValueError("no admissible degree in the requested range")
-        degree = rng.choice(candidates)
-    n = degree
-    if prime is None:
-        choices = [q for q in _SMALL_PRIMES if not (prime_coprime_to_degree and n % q == 0)]
-        prime = rng.choice(choices)
-    p = prime
-    if prime_coprime_to_degree and n % p == 0:
-        raise ValueError(f"degree {n} is divisible by the requested prime {p}")
-
-    while True:
-        v0 = rng.randint(0, max_endpoint_val)
-        vn = rng.randint(0, max_endpoint_val)
-        if gcd(v0 - vn, n) == 1:
-            break
-
-    def unit() -> int:
-        while True:
-            u = rng.randint(-max_unit, max_unit)
-            if u != 0 and u % p != 0:
-                return u
-
-    coeffs = []
-    for i in range(n + 1):
-        if i == 0:
-            e = v0
-        elif i == n:
-            e = vn
-        else:
-            if rng.random() < zero_prob:
-                coeffs.append(0)
-                continue
-            e_min = math.ceil(Fraction((n - i) * v0 + i * vn, n))
-            e = e_min + rng.randint(0, extra_val)
-        coeffs.append(p**e * unit())
-    return FormalPoly.from_coeffs(coeffs), p

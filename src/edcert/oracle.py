@@ -9,15 +9,14 @@ at the points 0, 1, -1(, 2) and solving for the coefficients covers every
 possible integer factor.  Candidates are additionally capped by the loose
 but valid coefficient bound 2^n * max|f_i| before trial division.
 
-Deliberately correctness-over-speed: this is test support (and a desk-check
-CLI hook), not a production factorizer.
+Deliberately correctness-over-speed: this is test support, not a
+production factorizer, and it is not exported from the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_arith import factor
 from .poly import FormalPoly
@@ -70,23 +69,29 @@ def _eval_int(f: list[int], x: int) -> int:
 
 
 def _divide_exact(f: list[int], g: list[int]) -> list[int] | None:
-    """Quotient f/g when g divides f exactly with an integer quotient."""
+    """Quotient f/g when g divides f exactly with an integer quotient.
+
+    Long division on integers: a quotient coefficient that is not an integer
+    means the quotient is not integral, so the division stops there.  The
+    candidates g are primitive, and by Gauss's lemma a primitive g dividing
+    f in Q[x] leaves an integral quotient, so no factor is missed.
+    """
     if len(g) > len(f):
         return None
-    rem = [Fraction(c) for c in f]
-    lead = Fraction(g[-1])
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    rem = list(f)
+    lead = g[-1]
+    q = [0] * (len(f) - len(g) + 1)
     for i in range(len(q) - 1, -1, -1):
-        coeff = rem[i + len(g) - 1] / lead
+        coeff, r = divmod(rem[i + len(g) - 1], lead)
+        if r:
+            return None
         q[i] = coeff
-        if coeff != 0:
+        if coeff:
             for j, gc in enumerate(g):
                 rem[i + j] -= coeff * gc
-    if any(r != 0 for r in rem):
+    if any(rem):
         return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
+    return q
 
 
 def _content_is_one(g: list[int]) -> bool:

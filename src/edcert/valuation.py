@@ -1,12 +1,14 @@
 """p-adic valuations on the rationals.
 
-A p-adic valuation sends q = p^k * (a/b) with p dividing neither a nor b to
-the integer k, and 0 to the distinguished element infinity.  It satisfies
-the Krull valuation axioms
+A p-adic valuation sends a nonzero q = p^k * (a/b) with p dividing neither
+a nor b to the integer k.  On nonzero rationals it satisfies the valuation
+axioms
 
-    v(a) = infinity  iff  a = 0,
     v(ab) = v(a) + v(b),
-    v(a+b) >= min(v(a), v(b)),  with equality whenever v(a) != v(b).
+    v(a+b) >= min(v(a), v(b)) when a+b != 0,  with equality whenever v(a) != v(b).
+
+The value at 0 is infinity by convention; here it is an error instead,
+since every caller tests a coefficient for zero before reading its value.
 
 The value group here is always Z (rank one, discrete): up to equivalence
 these are the only nontrivial valuations the rational field carries.  The
@@ -17,83 +19,8 @@ characteristic divides n" is exactly the divisibility test p | n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 from .exact_arith import Rational, is_probable_prime
-
-
-class _InfinityType:
-    """The element adjoined above every integer; absorbing under addition.
-
-    A dedicated singleton rather than a sentinel integer, so that arithmetic
-    at zero coefficients cannot silently go wrong.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("edcert-infinity")
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction, _InfinityType)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Fraction, _InfinityType)):
-            return True
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, _InfinityType)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other > 0:
-            return self
-        if other is self:
-            return self
-        raise ArithmeticError("Infinity may only be scaled by positive values")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinity is not part of the value group")
-
-
-INFINITY = _InfinityType()
-
-#: A valuation value: a finite integer or INFINITY.
-Val = Union[int, _InfinityType]
 
 
 def _int_val(n: int, p: int) -> int:
@@ -116,10 +43,10 @@ class PAdic:
         if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def val(self, q: Rational | int) -> Val:
-        """v_p(q); INFINITY for q = 0, possibly negative otherwise."""
+    def val(self, q: Rational | int) -> int:
+        """v_p(q) for q != 0, possibly negative; ValueError for q = 0."""
         if q == 0:
-            return INFINITY
+            raise ValueError("the valuation of 0 is infinite")
         if isinstance(q, int):
             return _int_val(q, self.p)
         return _int_val(q.numerator, self.p) - _int_val(q.denominator, self.p)

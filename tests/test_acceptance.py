@@ -15,7 +15,6 @@ from edcert import (
     Mat2,
     Verdict,
     act,
-    brute_irreducible,
     candidate_primes,
     certify_search,
     dumas_concat_holds,
@@ -23,14 +22,15 @@ from edcert import (
     is_ed_strict,
     lower_transform,
     one_param_member,
-    random_ed_polynomial,
     upper_transform,
 )
 from edcert.cli import certificate_to_json, validate_certificate_json
+from edcert.oracle import brute_irreducible
 from helpers import (
     SMALL_PRIMES,
     padic,
     random_dense_mat,
+    random_ed_polynomial,
     random_int_poly,
     random_mat,
     random_p_content_poly,

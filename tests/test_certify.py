@@ -8,7 +8,6 @@ from edcert import (
     Certificate,
     FormalPoly,
     Mat2,
-    SearchConfig,
     Verdict,
     act,
     candidate_primes,
@@ -20,10 +19,16 @@ from edcert import (
     phi,
     upper_transform,
 )
-from helpers import padic, random_dense_mat, random_int_poly, random_shaped_mat
+from helpers import (
+    padic,
+    random_dense_mat,
+    random_ed_polynomial,
+    random_int_poly,
+    random_shaped_mat,
+    reference_certify_search,
+)
 from edcert.certify import _endpoints_pass, _failure_reason
 from edcert.cli import certificate_to_json
-from edcert.newton_ed import random_ed_polynomial
 
 
 def poly(*coeffs, n=None):
@@ -181,27 +186,9 @@ def test_certify_negative_example():
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.candidate_primes_complete
     assert cert.prime is None and cert.witness is None
-    # audit covers stage 1 at p=2 and all four stages at p=3
+    # audit covers stage 1 and the p | n note at p=2, and stages 1, 2 and 4 at p=3
     stages = {(e.prime, e.stage) for e in cert.audit}
-    assert (2, 1) in stages and (3, 4) in stages and (2, 2) not in stages
-
-
-def test_certify_attempts_stage_three():
-    # stage 3 runs and is audited; empirically the lower transform never
-    # succeeds where the upper one failed, so exercise it via the audit trail
-    cert = certify_search(poly(9, 0, -14, 0, 1))
-    assert any(e.stage == 3 and e.prime == 3 for e in cert.audit)
-    rep3 = is_ed(lower_transform(poly(9, 0, -14, 0, 1))[1], padic(3))
-    assert not rep3.verdict
-
-
-def test_certify_zero_constant_audits_missing_lower_transform():
-    # x^3 + 3x^2 is reducible with a_0 = 0; only primes dividing n are
-    # candidates, so push in an extra prime to reach stages 2-4
-    cert = certify_search(poly(0, 0, 3, 1), SearchConfig(extra_primes=(5,)))
-    assert cert.verdict is Verdict.INCONCLUSIVE
-    assert not cert.candidate_primes_complete
-    assert any(e.stage == 3 and "undefined" in e.reason for e in cert.audit)
+    assert stages == {(2, 0), (2, 1), (3, 1), (3, 2), (3, 4)}
 
 
 def test_certify_attempts_stage_four():
@@ -237,15 +224,12 @@ def test_certify_preconditions():
         certify_search(poly(3, 1))  # degree 1
 
 
-def test_certify_extra_primes():
+def test_certify_prime_from_a_transform_ratio():
     # x^2 + 10x + 5: Eisenstein at 5, but 5 only enters via the U/L ratios
     A = poly(5, 10, 1)
+    assert candidate_primes(A).primes == {2, 5}
     cert = certify_search(A)
-    assert cert.irreducible
-    cert2 = certify_search(A, SearchConfig(extra_primes=(7,)))
-    assert cert2.irreducible
-    with pytest.raises(ValueError):
-        certify_search(A, SearchConfig(extra_primes=(6,)))
+    assert cert.irreducible and cert.prime == 5 and cert.stage == 1
 
 
 def test_certify_is_deterministic():
@@ -292,14 +276,13 @@ def test_one_param_round_trip():
         assert any(is_ed(B, v).verdict for B in candidates), (E, g, p)
 
 
-def _eager_certify_search(A, config):
+def _eager_certify_search(A):
     """certify_search with stage 4 as it was: every grid member is built
     when stage 4 first runs, and each is tested at every prime."""
     n = A.formal_degree
-    cand = candidate_primes(A, trial_bound=config.trial_bound, rho_budget=config.rho_budget)
+    cand = candidate_primes(A)
     audit = []
     upper_pair = cand.upper or upper_transform(A)
-    lower_pair = cand.lower
     members = None
     members_skipped = 0
 
@@ -308,7 +291,7 @@ def _eager_certify_search(A, config):
             A, Verdict.IRREDUCIBLE, vp.p, stage, transform, witness, report, tuple(audit), cand.complete
         )
 
-    for p in sorted(set(cand.primes) | set(config.extra_primes)):
+    for p in sorted(cand.primes):
         vp = padic(p)
         report = is_ed(A, vp)
         if report.verdict:
@@ -316,7 +299,7 @@ def _eager_certify_search(A, config):
         audit.append(AuditEntry(p, 1, _failure_reason(report)))
         if n % p == 0:
             audit.append(
-                AuditEntry(p, 0, f"residue characteristic {p} divides the degree {n}; stages 2-4 skipped")
+                AuditEntry(p, 0, f"residue characteristic {p} divides the degree {n}; stages 2 and 4 skipped")
             )
             continue
         m, upper = upper_pair
@@ -324,17 +307,9 @@ def _eager_certify_search(A, config):
         if report.verdict:
             return success(vp, 2, m, upper, report)
         audit.append(AuditEntry(p, 2, _failure_reason(report)))
-        if lower_pair is None:
-            audit.append(AuditEntry(p, 3, "constant coefficient is zero: lower transform undefined"))
-        else:
-            m, lower = lower_pair
-            report = is_ed(lower, vp)
-            if report.verdict:
-                return success(vp, 3, m, lower, report)
-            audit.append(AuditEntry(p, 3, _failure_reason(report)))
         if members is None:
             members = []
-            for t in default_t_grid(config.t_height):
+            for t in default_t_grid():
                 try:
                     members.append(one_param_member(A, t))
                 except ValueError:
@@ -359,8 +334,7 @@ def _eager_certify_search(A, config):
 def test_stage_four_gate_matches_eager_search():
     # Dense draws run stage 4 at every prime coprime to n; shifted
     # Eisenstein-Dumas draws often run it at an early prime before a later
-    # prime hits.  Every eighth draw uses the default grid, the rest a
-    # height-4 grid to keep the test fast.
+    # prime hits.
     rng = random.Random(3004)
     ran_stage_four = certified_after_stage_four = 0
     for i in range(200):
@@ -369,10 +343,65 @@ def test_stage_four_gate_matches_eager_search():
         else:
             E, _ = random_ed_polynomial(rng, max_degree=4, max_unit=6, max_endpoint_val=2, extra_val=1)
             A = E.taylor_shift(rng.choice((-1, 1)))
-        config = SearchConfig() if i % 8 == 0 else SearchConfig(t_height=4)
-        cert = certify_search(A, config)
-        assert certificate_to_json(cert) == certificate_to_json(_eager_certify_search(A, config)), A
+        cert = certify_search(A)
+        assert certificate_to_json(cert) == certificate_to_json(_eager_certify_search(A)), A
         if any(e.stage == 4 for e in cert.audit):
             ran_stage_four += 1
             certified_after_stage_four += cert.irreducible
     assert ran_stage_four >= 100 and certified_after_stage_four >= 30
+
+
+def _core(cert):
+    return cert.verdict, cert.prime, cert.stage, cert.transform, cert.witness
+
+
+def test_same_core_answers_as_the_search_with_stage_three():
+    # The reference still tests L(A) at every prime not dividing n; by the
+    # orbit lemma that never changes the first hit.  The draws are
+    # full-matrix conjugates E g of Eisenstein-Dumas polynomials, the
+    # criterion-13 recipe with every draw shifted by +-1, and random integer
+    # quadratics; degrees are kept low because each draw runs two searches.
+    rng = random.Random(6006)
+    small = dict(max_unit=6, max_endpoint_val=2, extra_val=1)
+
+    def conjugate(degree):
+        E, _ = random_ed_polynomial(rng, degree=degree, **small)
+        return act(E, random_dense_mat(rng, 2))
+
+    makers = (
+        (700, lambda: conjugate(2)),
+        (40, lambda: conjugate(3)),
+        (40, lambda: random_ed_polynomial(rng, max_degree=6, **small)[0].taylor_shift(rng.choice((-1, 1)))),
+        (240, lambda: random_int_poly(rng, min_degree=2, max_degree=2, coeff_bound=9)),
+    )
+    compared = ran_stage_four = 0
+    stages = {}
+    for count, make in makers:
+        for _ in range(count):
+            A = make()
+            if A.actual_degree != A.formal_degree:
+                continue
+            cert = certify_search(A)
+            assert _core(cert) == _core(reference_certify_search(A)), A
+            compared += 1
+            ran_stage_four += any(e.stage == 4 for e in cert.audit)
+            stages[cert.stage] = stages.get(cert.stage, 0) + 1
+    # Stage 3 could only matter in a draw that went past stage 2 at some prime.
+    assert compared >= 1000 and ran_stage_four >= 400 and stages[2] >= 600, (ran_stage_four, stages)
+
+
+def test_orbit_lemma_lower_hit_implies_upper_hit():
+    # Orbit lemma: for p not dividing n, E Eisenstein-Dumas at p and any g,
+    # U(E g) is Eisenstein-Dumas at p; in particular whenever L(E g) is.
+    rng = random.Random(6007)
+    checked = lower_hits = 0
+    for _ in range(400):
+        E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=6)
+        A = act(E, random_dense_mat(rng, bound=6))
+        if A.coeffs[-1] == 0 or A.coeffs[0] == 0:
+            continue
+        v = padic(p)
+        lower_hits += is_ed(lower_transform(A)[1], v).verdict
+        assert is_ed(upper_transform(A)[1], v).verdict, (E, A, p)
+        checked += 1
+    assert checked >= 350 and lower_hits >= 50

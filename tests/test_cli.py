@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from edcert import FormalPoly, Mat2
 from edcert.cli import (
+    MAX_DEGREE,
     PolyParseError,
     certificate_to_json,
     format_poly,
@@ -65,6 +67,16 @@ def test_formal_degree_override():
     assert A.formal_degree == 5 and A.actual_degree == 2
     with pytest.raises(ValueError):
         parse_poly("x^2 + 1", formal_degree=1)
+
+
+def test_degree_limit():
+    assert parse_poly(f"x^{MAX_DEGREE}").formal_degree == MAX_DEGREE
+    assert parse_poly("x", formal_degree=MAX_DEGREE).formal_degree == MAX_DEGREE
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(f"1 + x^{MAX_DEGREE + 1}")
+    assert err.value.position == 6
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_poly("x", formal_degree=MAX_DEGREE + 1)
 
 
 def test_format_round_trip():
@@ -154,11 +166,32 @@ def test_dumas_command(capsys):
     assert main(["dumas", "--polyA", "0", "--polyB", "x", "--prime", "2"]) == 2
 
 
-def test_oracle_command(capsys):
-    assert main(["oracle", "--poly", "x^4-14x^2+9"]) == 0
-    assert "irreducible" in capsys.readouterr().out
-    assert main(["oracle", "--poly", "x^2-1"]) == 1
-    assert "reducible" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--poly", "x^30000000", "--matrix", "1,0;1,1"],
+        ["certify", "--poly", "x^2+1", "--formal-degree", "100000000"],
+        ["ed-check", "--poly", "x^99999999+2", "--prime", "2"],
+    ],
+    ids=["act-exponent", "certify-formal-degree", "ed-check-exponent"],
+)
+def test_hostile_degrees_exit_2_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_hostile_formal_degree_at_once(tmp_path, capsys):
+    data = certificate_to_json(certify_search(parse_poly("x^4-14x^2+9")))
+    assert data["verdict"] == "inconclusive"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**data, "formal_degree": 100_000_000}))
+    t0 = time.perf_counter()
+    assert main(["verify", "--json", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: malformed certificate") and "exceeds the limit" in out
 
 
 def test_no_command_prints_help(capsys):

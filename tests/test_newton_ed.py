@@ -13,9 +13,14 @@ from edcert import (
     is_ed,
     is_ed_strict,
     newton_polygon,
-    random_ed_polynomial,
 )
-from helpers import SMALL_PRIMES, padic, random_int_poly, random_p_content_poly
+from helpers import (
+    SMALL_PRIMES,
+    padic,
+    random_ed_polynomial,
+    random_int_poly,
+    random_p_content_poly,
+)
 
 
 def poly(*coeffs, n=None):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import FormalPoly, brute_irreducible, certify_search
-from edcert.oracle import primitive_integer_form
-from edcert.newton_ed import random_ed_polynomial
+from edcert import FormalPoly, certify_search
+from edcert.oracle import brute_irreducible, primitive_integer_form
+from helpers import random_ed_polynomial
 
 
 def poly(*coeffs, n=None):
