@@ -77,7 +77,12 @@ def phi(A: FormalPoly, t: Rational | int) -> Fraction:
     deriv = A.derivative().eval(t)
     if deriv == 0:
         raise ValueError("phi undefined: A'(t) = 0")
-    return t - A.formal_degree * A.eval(t) / deriv
+    return _phi_value(A.formal_degree, t, A.eval(t), deriv)
+
+
+def _phi_value(n: int, t: Fraction, at: Fraction, deriv: Fraction) -> Fraction:
+    """phi(t) from at = A(t) and deriv = A'(t) != 0, for A of formal degree n."""
+    return t - n * at / deriv
 
 
 def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly]:
@@ -315,16 +320,13 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
 
         if grid is None:
             grid = []
+            dA = A.derivative()
             for t in default_t_grid():
-                try:
-                    f = phi(A, t)
-                except ValueError:  # A'(t) = 0
+                at, deriv = A.eval(t), dA.eval(t)
+                if at == 0 or deriv == 0:  # a singular member, or phi(t) undefined
                     members_skipped += 1
                     continue
-                at = A.eval(t)
-                if at == 0:  # the member's matrix would be singular
-                    members_skipped += 1
-                    continue
+                f = _phi_value(n, t, at, deriv)
                 grid.append((t, f, at, A.eval(f)))
         for i, (t, f, at, af) in enumerate(grid):
             if not _endpoints_pass(af, at, vp, n):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rational
-from .poly import FormalPoly, _coerce
+from .poly import FormalPoly, _coerce, _substitute
 
 
 class MatrixShape(enum.Enum):
@@ -106,19 +106,11 @@ class Mat2:
 def act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
 
-    Built from the right-action factorization of g into steps FormalPoly
-    implements (shear(t) is the Taylor shift by t, diag(s, 1) scales the
-    argument by s, the swap reverses, and a scalar u scales by u^n):
-
-        c = 0:  g = shear(b/d) diag(a/d, 1) (d I),
-        c != 0: g = shear(a/c) diag(-det/c, 1) swap diag(c, 1) shear(d/c),
-
-    the latter because (ax+b)/(cx+d) = a/c - det/(c (cx+d)).  Two O(n^2)
-    Taylor shifts at most, exact throughout.
+    The substitution (x, y) -> (ax+b, cx+d) into the binary form
+    sum a_i x^i y^(n-i), on integers: the denominators of A and of g are
+    cleared once, Horner's rule on the binary form builds the integer result
+    in O(n^2) integer operations, and one division per coefficient gives the
+    Fractions (see poly._substitute).  FormalPoly.taylor_shift is the same
+    computation for the shear [[1, t], [0, 1]].
     """
-    a, b, c, d = g.entries()
-    if c == 0:
-        return A.taylor_shift(b / d).scale_arg(a / d).scale_all(d**A.formal_degree)
-    return (
-        A.taylor_shift(a / c).scale_arg(-g.det / c).reverse().scale_arg(c).taylor_shift(d / c)
-    )
+    return _substitute(A, *g.entries())

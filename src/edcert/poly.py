@@ -6,7 +6,11 @@ the top entries are zero.  This matters because the linear-fractional
 action of 2x2 matrices preserves the formal degree while the actual degree
 may drop, and every Eisenstein-Dumas check reads a_n at the formal degree.
 
-All arithmetic is exact (Fraction coefficients); values are immutable.
+Coefficients are Fractions and values are immutable.  The arithmetic that
+costs O(n) or O(n^2) (evaluation, the Taylor shift, the matrix action) runs
+on integers: it clears the denominators once, with the lcm of the
+coefficients' denominators, and divides once at the end, so only the
+results are reduced Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,6 +29,36 @@ def _coerce(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(x).__name__}")
+
+
+def _integer_form(values: Sequence[Rational | int]) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) with D the lcm of the denominators, so
+    that every D v is an integer."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _substitute(A: "FormalPoly", a: Rational | int, b: Rational | int,
+                c: Rational | int, d: Rational | int) -> "FormalPoly":
+    """(cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A), for ad != bc:
+    the binary form of A at (ax+b, cx+d).
+
+    D, the lcm of A's denominators, makes every alpha_i = D a_i an integer,
+    and lam, the lcm of the denominators of a, b, c, d, makes the entries
+    integers.  On those, sum alpha_i (ax+b)^i (cx+d)^(n-i) is D lam^n times
+    the result.  Horner on the binary form builds it as
+    P <- P (ax+b) + alpha_i (cx+d)^(n-i), i from n down to 0, keeping
+    R = (cx+d)^(n-i) as it goes: O(n^2) integer operations, then one
+    division by D lam^n per coefficient.
+    """
+    D, alpha = _integer_form(A.coeffs)
+    lam, (a, b, c, d) = _integer_form((a, b, c, d))
+    P, R = [alpha[-1]], [1]
+    for ai in reversed(alpha[:-1]):
+        R = [d * r + c * s for r, s in zip(R + [0], [0] + R)]
+        P = [b * p + a * q + ai * r for p, q, r in zip(P + [0], [0] + P, R)]
+    den = D * lam ** (len(alpha) - 1)
+    return FormalPoly(tuple(Fraction(p, den) for p in P))
 
 
 @dataclass(frozen=True)
@@ -134,11 +168,11 @@ class FormalPoly:
         """
         t = _coerce(t)
         p, q = t.numerator, t.denominator
-        d = math.lcm(*(c.denominator for c in self.coeffs))
+        d, alpha = _integer_form(self.coeffs)
         acc = 0
         qpow = 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c.numerator * (d // c.denominator) * qpow
+        for ai in reversed(alpha):
+            acc = acc * p + ai * qpow
             qpow *= q
         return Fraction(acc, d * (qpow // q))
 
@@ -153,17 +187,12 @@ class FormalPoly:
     def taylor_shift(self, t: Rational | int) -> "FormalPoly":
         """A(x + t) at the same formal degree; leading coefficient unchanged.
 
-        Horner's repeated synthetic division by x - t, O(n^2) exact operations.
+        The action of the shear [[1, t], [0, 1]]: O(n^2) integer operations.
         """
         t = _coerce(t)
-        n = self.formal_degree
         if t == 0:
             return self
-        out = list(self.coeffs)
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                out[k] += t * out[k + 1]
-        return FormalPoly(tuple(out))
+        return _substitute(self, 1, t, 0, 1)
 
     def reverse(self) -> "FormalPoly":
         """Coefficient reversal with respect to the formal degree (an involution)."""

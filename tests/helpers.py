@@ -124,6 +124,33 @@ def random_mat(rng: random.Random, bound: int = 9) -> Mat2:
             continue
 
 
+def _reference_taylor_shift(A: FormalPoly, t: Fraction) -> FormalPoly:
+    """A(x + t) by repeated synthetic division on Fractions, as
+    FormalPoly.taylor_shift computed it before the integer kernel."""
+    n = A.formal_degree
+    out = list(A.coeffs)
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            out[k] += t * out[k + 1]
+    return FormalPoly(tuple(out))
+
+
+def reference_act(A: FormalPoly, g: Mat2) -> FormalPoly:
+    """act as it was before the integer kernel: the right-action
+    factorization of g into Fraction Taylor shifts, argument scalings and a
+    reversal,
+
+        c = 0:  g = shear(b/d) diag(a/d, 1) (d I),
+        c != 0: g = shear(a/c) diag(-det/c, 1) swap diag(c, 1) shear(d/c).
+
+    The differential test compares act against it."""
+    a, b, c, d = g.entries()
+    if c == 0:
+        return _reference_taylor_shift(A, b / d).scale_arg(a / d).scale_all(d**A.formal_degree)
+    B = _reference_taylor_shift(A, a / c).scale_arg(-g.det / c).reverse().scale_arg(c)
+    return _reference_taylor_shift(B, d / c)
+
+
 def _reference_brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     """Brent's rho as it was, multiplying the batch by |x - y|."""
     used = 0

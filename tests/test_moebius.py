@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from edcert import FormalPoly, Mat2, MatrixShape, act
-from helpers import nonzero_fraction, random_dense_mat, random_mat, random_shaped_mat
+from helpers import (
+    nonzero_fraction,
+    random_dense_mat,
+    random_mat,
+    random_shaped_mat,
+    reference_act,
+)
 
 rng = random.Random(20240901)
 
@@ -70,7 +76,40 @@ def test_formal_degree_invariance():
         assert act(A, g).formal_degree == A.formal_degree
 
 
+def test_action_matches_the_fraction_composition():
+    # The integer kernel against the Fraction shift/scale/reverse composition
+    # it replaced: the same str of every coefficient, so certificates keep
+    # their bytes.  Zero coefficients, formal degrees above the actual degree,
+    # degree 0-24 and entries up to 10^30, in all five matrix shapes.
+    rng = random.Random(20261018)
+    shapes = ["full", "upper", "lower", "upper_swap", "lower_swap"]
+    seen = set()
+    for k in range(3000):
+        # Tall entries only at low degree, where the Fraction side stays cheap.
+        n, bound = rng.choice(
+            ((rng.randint(0, 8), 9), (rng.randint(0, 8), 9), (rng.randint(0, 24), 9),
+             (rng.randint(0, 8), 10**6), (rng.randint(0, 4), 10**30))
+        )
+        coeffs = [
+            0 if rng.random() < 0.2 else Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            for _ in range(n + 1)
+        ]
+        pad = rng.choice((0, 0, 0, 1, 3))
+        A = FormalPoly.from_coeffs(coeffs, formal_degree=n + pad)
+        shape = shapes[k % 5]
+        if shape == "full":
+            g = random_dense_mat(rng, bound)
+        else:
+            g = random_shaped_mat(rng, shape, bound)
+        seen.add(g.shape())
+        assert [str(c) for c in act(A, g).coeffs] == [str(c) for c in reference_act(A, g).coeffs]
+    assert seen == set(MatrixShape)
+
+
 def test_action_matches_elementary_transforms():
+    # act and taylor_shift run the same kernel, so the shear line only checks
+    # that they agree; test_taylor_shift_matches_binomial_expansion and the
+    # evaluation test below check the kernel itself.
     for _ in range(60):
         A = random_poly()
         n = A.formal_degree
