@@ -1,11 +1,16 @@
 """Command-line front end: parsing, printing, JSON certificates, SVG plots.
 
-Polynomial grammar (whitespace insignificant):
+One grammar covers --poly, --matrix and the certificate text that `verify`
+re-reads.  Digits are ASCII 0-9; whitespace may appear between any two
+tokens, except after the sign of a rational:
 
-    poly  := [sign] term (sign term)*
-    term  := coeff ['*'] [x ['^' exp]]  |  x ['^' exp]
-    coeff := int | int '/' int
-    sign  := '+' | '-'
+    poly     := [sign] term (sign term)*
+    term     := coeff ['*'] [x ['^' int]]  |  x ['^' int]
+    coeff    := int | int '/' int
+    rational := [sign] coeff
+    sign     := '+' | '-'
+
+int/int is the only fractional form: decimals and exponents are rejected.
 
 Exit codes across all subcommands: 0 for success/true, 1 for
 inconclusive/false, 2 for usage, parse, or precondition errors.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -46,12 +52,34 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+#: A rational: [sign]int or [sign]int/int, the sign against the first digit.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?\s*")
+
+#: One polynomial term and the whitespace after it.  The denominator and the
+#: exponent may match empty, so that parse_poly can say where one is missing.
+_TERM = re.compile(
+    r"(?P<sign>[+-])?\s*(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*)\s*)?(?:\*\s*)?)?"
+    r"(?:(?P<x>[xX])\s*(?:\^\s*(?P<exp>[0-9]*))?)?\s*"
+)
+
+
 def parse_rational(text: str) -> Fraction:
-    """An integer or 'int/int', optionally signed."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}: {exc}") from None
+    """[sign]int or [sign]int/int in ASCII digits; a non-string raises TypeError."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid rational {text!r}: expected an integer or 'int/int'")
+    num, den = int(m[1]), int(m[2] or 1)
+    if den == 0:
+        raise ValueError(f"invalid rational {text!r}: zero denominator")
+    return Fraction(num, den)
+
+
+def _integer(m: re.Match, group: str) -> int | None:
+    """The integer in a term's group, None if absent; an empty group is an error."""
+    digits = m[group]
+    if digits == "":
+        raise PolyParseError("expected an integer", m.start(group))
+    return None if digits is None else int(digits)
 
 
 def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
@@ -59,104 +87,39 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
 
     The formal degree is the largest exponent carrying a nonzero coefficient
     unless overridden upward; an override below the actual degree is an error,
-    and so is an exponent or override above MAX_DEGREE.
+    and so is an exponent or override above MAX_DEGREE.  Errors carry their
+    position, and the first in the text is the one reported.
     """
     if formal_degree is not None and formal_degree > MAX_DEGREE:
         raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
-    s = text
-    i = 0
-
-    def skip_ws():
-        nonlocal i
-        while i < len(s) and s[i].isspace():
-            i += 1
-
-    def fail(message: str):
-        raise PolyParseError(message, i)
-
-    def read_int() -> int:
-        nonlocal i
-        start = i
-        while i < len(s) and s[i].isdigit():
-            i += 1
-        if i == start:
-            fail("expected an integer")
-        return int(s[start:i])
-
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
+        raise PolyParseError("empty polynomial", pos)
     terms: dict[int, Fraction] = {}
-    skip_ws()
-    if i >= len(s):
-        fail("empty polynomial")
-    first = True
-    while True:
-        skip_ws()
-        if i >= len(s):
-            break
-        sign = 1
-        if s[i] == "+":
-            i += 1
-            skip_ws()
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-            skip_ws()
-        elif not first:
-            fail("expected '+' or '-' between terms")
-        coeff = None
-        if i < len(s) and s[i].isdigit():
-            num = read_int()
-            skip_ws()
-            if i < len(s) and s[i] == "/":
-                i += 1
-                skip_ws()
-                den_at = i
-                den = read_int()
-                if den == 0:
-                    i = den_at
-                    fail("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            skip_ws()
-            if i < len(s) and s[i] == "*":
-                i += 1
-                skip_ws()
-        exp = None
-        if i < len(s) and s[i] in "xX":
-            i += 1
-            skip_ws()
-            if i < len(s) and s[i] == "^":
-                i += 1
-                skip_ws()
-                exp_at = i
-                exp = read_int()
-                if exp > MAX_DEGREE:
-                    i = exp_at
-                    fail(f"exponent {exp} exceeds the limit {MAX_DEGREE}")
-            else:
-                exp = 1
-        if coeff is None and exp is None:
-            fail("expected a coefficient or 'x'")
-        exp = exp or 0
-        coeff = Fraction(1) if coeff is None else coeff
-        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
-        first = False
-
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m["sign"] is None and terms:
+            raise PolyParseError("expected '+' or '-' between terms", pos)
+        if m["num"] is None and m["x"] is None:
+            raise PolyParseError("expected a coefficient or 'x'", m.end())
+        num, den = int(m["num"] or 1), _integer(m, "den")
+        if den == 0:
+            raise PolyParseError("zero denominator", m.start("den"))
+        exp = _integer(m, "exp")
+        if exp is None:
+            exp = 1 if m["x"] else 0
+        elif exp > MAX_DEGREE:
+            raise PolyParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", m.start("exp"))
+        sign = -1 if m["sign"] == "-" else 1
+        terms[exp] = terms.get(exp, 0) + Fraction(sign * num, den or 1)
+        pos = m.end()
     actual = max((e for e, c in terms.items() if c != 0), default=0)
-    n = actual
-    if formal_degree is not None:
-        if formal_degree < actual:
-            raise ValueError(
-                f"formal degree override {formal_degree} is below the actual degree {actual}"
-            )
-        n = formal_degree
+    if formal_degree is not None and formal_degree < actual:
+        raise ValueError(
+            f"formal degree override {formal_degree} is below the actual degree {actual}"
+        )
+    n = actual if formal_degree is None else formal_degree
     return FormalPoly(tuple(terms.get(k, Fraction(0)) for k in range(n + 1)))
-
-
-def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def format_poly(A: FormalPoly) -> str:
@@ -168,9 +131,9 @@ def format_poly(A: FormalPoly) -> str:
             continue
         mag = abs(c)
         if e == 0:
-            body = format_rational(mag)
+            body = str(mag)
         else:
-            body = "x" if mag == 1 else f"{format_rational(mag)}x"
+            body = "x" if mag == 1 else f"{mag}x"
             if e > 1:
                 body += f"^{e}"
         if not parts:
@@ -181,22 +144,16 @@ def format_poly(A: FormalPoly) -> str:
 
 
 def format_matrix(g: Mat2) -> str:
-    a, b, c, d = (format_rational(x) for x in g.entries())
+    a, b, c, d = g.entries()
     return f"[{a}, {b}; {c}, {d}]"
 
 
 def parse_matrix(text: str) -> Mat2:
     """Parse 'a,b;c,d' with rational entries into a nonsingular matrix."""
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError("matrix must have two ';'-separated rows")
-    entries = []
-    for row in rows:
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise ValueError("each matrix row must have two ','-separated entries")
-        entries.extend(parse_rational(c) for c in cells)
-    return Mat2(*entries)
+    rows = [row.split(",") for row in text.split(";")]
+    if [len(row) for row in rows] != [2, 2]:
+        raise ValueError(f"matrix must be 'a,b;c,d', got {text!r}")
+    return Mat2(*(parse_rational(entry) for row in rows for entry in row))
 
 
 # -- JSON certificates --------------------------------------------------------
@@ -205,8 +162,8 @@ def parse_matrix(text: str) -> Mat2:
 def certificate_to_json(cert: Certificate) -> dict:
     """Exact-string JSON form; all rationals are serialized as 'num/den' strings."""
     if cert.verdict is Verdict.IRREDUCIBLE:
-        transform = [format_rational(x) for x in cert.transform.entries()]
-        witness = [format_rational(c) for c in cert.witness.coeffs]
+        transform = [str(x) for x in cert.transform.entries()]
+        witness = [str(c) for c in cert.witness.coeffs]
         report = {
             "d0": cert.report.d0,
             "d1": cert.report.d1,
@@ -266,8 +223,11 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
         if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
             raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
         vp = PAdic(int(prime))
-        g = Mat2(*(parse_rational(x) for x in data["transform"]))
-        witness = FormalPoly(tuple(parse_rational(c) for c in data["witness_coeffs"]))
+        transform, coeffs = data["transform"], data["witness_coeffs"]
+        if not (isinstance(transform, list) and isinstance(coeffs, list)):
+            raise TypeError("transform and witness_coeffs must be lists of strings")
+        g = Mat2(*map(parse_rational, transform))
+        witness = FormalPoly(tuple(map(parse_rational, coeffs)))
         report = data["report"]
         if not isinstance(report, dict):
             raise TypeError("report must be a JSON object")

@@ -27,6 +27,7 @@ from edcert import (
     upper_transform,
 )
 from edcert.certify import _failure_reason
+from edcert.cli import MAX_DEGREE, PolyParseError
 from edcert.exact_arith import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, is_probable_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -379,3 +380,116 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
     return Certificate(
         A, Verdict.INCONCLUSIVE, audit=tuple(audit), candidate_primes_complete=cand.complete
     )
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    """parse_rational as it was before the regular grammar: Fraction(str),
+    which also reads decimals, exponents, underscores and non-ASCII digits.
+    The differential parser test compares parse_rational against it."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid rational {text!r}: {exc}") from None
+
+
+def reference_parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
+    """parse_poly as it was before the regular grammar: a character scanner
+    that reads any Unicode digit.  The differential parser test compares
+    parse_poly against it.
+
+    Parse the polynomial grammar; like terms are combined.
+
+    The formal degree is the largest exponent carrying a nonzero coefficient
+    unless overridden upward; an override below the actual degree is an error,
+    and so is an exponent or override above MAX_DEGREE.
+    """
+    if formal_degree is not None and formal_degree > MAX_DEGREE:
+        raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
+    s = text
+    i = 0
+
+    def skip_ws():
+        nonlocal i
+        while i < len(s) and s[i].isspace():
+            i += 1
+
+    def fail(message: str):
+        raise PolyParseError(message, i)
+
+    def read_int() -> int:
+        nonlocal i
+        start = i
+        while i < len(s) and s[i].isdigit():
+            i += 1
+        if i == start:
+            fail("expected an integer")
+        return int(s[start:i])
+
+    terms: dict[int, Fraction] = {}
+    skip_ws()
+    if i >= len(s):
+        fail("empty polynomial")
+    first = True
+    while True:
+        skip_ws()
+        if i >= len(s):
+            break
+        sign = 1
+        if s[i] == "+":
+            i += 1
+            skip_ws()
+        elif s[i] == "-":
+            sign = -1
+            i += 1
+            skip_ws()
+        elif not first:
+            fail("expected '+' or '-' between terms")
+        coeff = None
+        if i < len(s) and s[i].isdigit():
+            num = read_int()
+            skip_ws()
+            if i < len(s) and s[i] == "/":
+                i += 1
+                skip_ws()
+                den_at = i
+                den = read_int()
+                if den == 0:
+                    i = den_at
+                    fail("zero denominator")
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            skip_ws()
+            if i < len(s) and s[i] == "*":
+                i += 1
+                skip_ws()
+        exp = None
+        if i < len(s) and s[i] in "xX":
+            i += 1
+            skip_ws()
+            if i < len(s) and s[i] == "^":
+                i += 1
+                skip_ws()
+                exp_at = i
+                exp = read_int()
+                if exp > MAX_DEGREE:
+                    i = exp_at
+                    fail(f"exponent {exp} exceeds the limit {MAX_DEGREE}")
+            else:
+                exp = 1
+        if coeff is None and exp is None:
+            fail("expected a coefficient or 'x'")
+        exp = exp or 0
+        coeff = Fraction(1) if coeff is None else coeff
+        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
+        first = False
+
+    actual = max((e for e, c in terms.items() if c != 0), default=0)
+    n = actual
+    if formal_degree is not None:
+        if formal_degree < actual:
+            raise ValueError(
+                f"formal degree override {formal_degree} is below the actual degree {actual}"
+            )
+        n = formal_degree
+    return FormalPoly(tuple(terms.get(k, Fraction(0)) for k in range(n + 1)))

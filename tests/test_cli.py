@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,15 +12,16 @@ from edcert.cli import (
     PolyParseError,
     certificate_to_json,
     format_poly,
-    format_rational,
     main,
     newton_polygon_svg,
     parse_matrix,
     parse_poly,
+    parse_rational,
     validate_certificate_json,
 )
 from edcert.certify import certify_search
 from edcert.valuation import PAdic
+from helpers import reference_parse_poly, reference_parse_rational
 
 
 def poly(*coeffs, n=None):
@@ -62,6 +64,72 @@ def test_parse_errors_carry_position():
         parse_poly("x^-2")
 
 
+def test_parse_errors_follow_text_order():
+    # The zero denominator at 3 comes before the empty exponent at 7.
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("3 /0X ^")
+    assert err.value.position == 3 and "zero denominator" in str(err.value)
+
+
+def test_digits_are_ascii():
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x^\u00b2")  # superscript two
+    assert err.value.position == 2
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x + \u0663")  # Arabic-Indic three
+    assert err.value.position == 4
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "\u0663", "- 1", "1/0", "", "/2"])
+def test_parse_rational_rejects(text):
+    with pytest.raises(ValueError, match="invalid rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_forms():
+    assert parse_rational("1 / 2") == Fraction(1, 2)
+    assert parse_rational(" -6/4\n") == Fraction(-3, 2)
+    assert parse_rational("+7") == 7
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:  # PolyParseError included
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parsers_match_the_frozen_reference():
+    # The regular grammar against the character scanner and Fraction(str) it
+    # replaced, on 200k strings of ASCII text: the same FormalPoly, or the
+    # same exception type, message and position.  Fraction(str) allows no
+    # whitespace next to '/', so parse_rational is compared only where there
+    # is none, and only on acceptance and value.  Degree-1000 results cost a
+    # millisecond each, so x^1000 and the override 1000 are drawn rarely.
+    rng = random.Random(8)
+    tokens = list("xX^+-*/0123456789 \t\n") + ["1001", "x^1000", "x^1001"]
+    weights = [4, 1, 4, 4, 4, 2, 2] + [2] * 10 + [3, 1, 1, 1, 0.02, 1]
+    degrees = rng.choices([None, 0, 3, 1000, 1001, -1], [50, 15, 15, 0.2, 5, 5], k=200_000)
+    lengths = rng.choices(range(10), k=200_000)
+    flat = rng.choices(tokens, weights, k=sum(lengths))
+    messages, rationals, at_limit, i = set(), 0, 0, 0
+    for n, k in zip(degrees, lengths):
+        text, i = "".join(flat[i : i + k]), i + k
+        got = _outcome(parse_poly, text, n)
+        assert got == _outcome(reference_parse_poly, text, n), (text, n)
+        if isinstance(got, tuple):
+            messages.add(got[1])
+        else:
+            at_limit += got.formal_degree == MAX_DEGREE
+        if not re.search(r"\s/|/\s", text):
+            rationals += 1
+            got, want = _outcome(parse_rational, text), _outcome(reference_parse_rational, text)
+            assert got == want or (isinstance(got, tuple) and isinstance(want, tuple)), text
+    # every error of the grammar, and the largest degree, were reached
+    kinds = {re.sub(r"-?\d+", "N", m.split(" (at")[0]) for m in messages}
+    assert len(kinds) == 8 and at_limit > 20 and rationals > 100_000, (kinds, at_limit)
+
+
 def test_formal_degree_override():
     A = parse_poly("x^2 + 1", formal_degree=5)
     assert A.formal_degree == 5 and A.actual_degree == 2
@@ -99,6 +167,8 @@ def test_parse_matrix():
         parse_matrix("1,0;0,0")  # singular
     with pytest.raises(ValueError):
         parse_matrix("1,0,0,1")
+    with pytest.raises(ValueError, match="invalid rational"):
+        parse_matrix("1e3,0;0,1")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -275,6 +345,10 @@ def test_verify_command(tmp_path, capsys):
         lambda data: {**data, "formal_degree": None},
         lambda data: {**data, "formal_degree": True},
         lambda data: {**data, "formal_degree": 2.0},
+        lambda data: {**data, "transform": "1001"},
+        lambda data: {**data, "witness_coeffs": "841"},
+        lambda data: {**data, "witness_coeffs": {"8": 0, "4": 0, "1": 0}},
+        lambda data: {**data, "transform": ["1e3", "0", "0", "1"]},
     ],
     ids=[
         "list",
@@ -291,6 +365,10 @@ def test_verify_command(tmp_path, capsys):
         "null-degree",
         "bool-degree",
         "float-degree",
+        "string-transform",
+        "string-coeffs",
+        "dict-coeffs",
+        "exponent-transform-entry",
     ],
 )
 def test_verify_rejects_malformed_certificates(mutate, tmp_path, capsys):
