@@ -5,6 +5,7 @@ Certifies irreducibility in Q[x] by locating a prime p and a nonsingular
 polynomial at the p-adic valuation.  All arithmetic is exact.
 """
 
+from .certificate import certificate_to_json, validate_certificate_json
 from .certify import (
     AuditEntry,
     CandidatePrimes,
@@ -52,6 +53,7 @@ __all__ = [
     "Verdict",
     "act",
     "candidate_primes",
+    "certificate_to_json",
     "certify_search",
     "default_t_grid",
     "dumas_concat_holds",
@@ -65,4 +67,5 @@ __all__ = [
     "one_param_member",
     "phi",
     "upper_transform",
+    "validate_certificate_json",
 ]

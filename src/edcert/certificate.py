@@ -1,0 +1,313 @@
+"""Certificate text: the grammar, the JSON writer, and an independent checker.
+
+One grammar covers the polynomials and rationals that the CLI reads and that
+a certificate stores.  Digits are ASCII 0-9; whitespace may appear between
+any two tokens, except after the sign of a rational:
+
+    poly     := [sign] term (sign term)*
+    term     := coeff ['*'] [x ['^' int]]  |  x ['^' int]
+    coeff    := int | int '/' int
+    rational := [sign] coeff
+    sign     := '+' | '-'
+
+int/int is the only fractional form: decimals and exponents are rejected.
+The readers return integer forms: a rational as (num, den) with den > 0, not
+reduced, and a polynomial as (D, [D a_0, ..., D a_n]) with D > 0 a common
+denominator, so that every entry is an integer.
+
+The checker, validate_certificate_json, shares no arithmetic with the search:
+it uses neither the action kernel nor the Eisenstein-Dumas test, and works on
+integers throughout.  An irreducible certificate claims that the witness W
+equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
+
+  * W = A g.  Let F(X, Y) = sum alpha_i X^i Y^(n-i) be the binary form of
+    the input's integer form (D_A, alpha), lam the lcm of g's denominators
+    and a, b, c, d the integer entries of lam g.  Then A g =
+    F(ax+b, cx+d) / (D_A lam^n), so with omega the witness's integer form
+    (D_W, omega) and Omega(x) = sum omega_i x^i, W = A g is the identity
+    D_A lam^n Omega(x) = D_W F(ax+b, cx+d) between two integer polynomials of
+    degree at most n.  It holds if and only if it holds at the n+1 points
+    x = 0, 1, ..., n.
+  * (D0)-(D2) at p are read from the valuations of the integer numerators
+    omega_i = D_W w_i.  Each is v(D_W) + v(w_i), and the common term cancels:
+    v(w_0) - v(w_n) is unchanged in (D1), and in (D2) it adds n v(D_W) to
+    both sides of n v(w_i) >= (n-i) v(w_0) + i v(w_n).
+
+Inconclusive certificates get a shape check only.  The checker is total: any
+malformed JSON value gives (False, reason), never an exception.  The only
+import from the rest of the package is the primality test.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+from .exact_arith import is_probable_prime
+
+#: Largest exponent and formal degree accepted from outside; every degree the
+#: tests and the benchmark use is at most 24, and the work of the action and
+#: the search grows at least quadratically in the degree.
+MAX_DEGREE = 1000
+
+
+class PolyParseError(ValueError):
+    """Syntax error with a character position."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+#: A rational: [sign]int or [sign]int/int, the sign against the first digit.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?\s*")
+
+#: One polynomial term and the whitespace after it.  The denominator and the
+#: exponent may match empty, so that read_poly can say where one is missing.
+_TERM = re.compile(
+    r"(?P<sign>[+-])?\s*(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*)\s*)?(?:\*\s*)?)?"
+    r"(?:(?P<x>[xX])\s*(?:\^\s*(?P<exp>[0-9]*))?)?\s*"
+)
+
+
+def read_rational(text: str) -> tuple[int, int]:
+    """(num, den), den > 0 and not reduced, of [sign]int or [sign]int/int in
+    ASCII digits; a non-string raises TypeError."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid rational {text!r}: expected an integer or 'int/int'")
+    num, den = int(m[1]), int(m[2] or 1)
+    if den == 0:
+        raise ValueError(f"invalid rational {text!r}: zero denominator")
+    return num, den
+
+
+def _integer(m: re.Match, group: str) -> int | None:
+    """The integer in a term's group, None if absent; an empty group is an error."""
+    digits = m[group]
+    if digits == "":
+        raise PolyParseError("expected an integer", m.start(group))
+    return None if digits is None else int(digits)
+
+
+def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[int]]:
+    """Read the polynomial grammar into (D, [D a_0, ..., D a_n]); like terms
+    are combined.
+
+    The formal degree n is the largest exponent carrying a nonzero
+    coefficient unless overridden upward; an override below the actual degree
+    is an error, and so is an exponent or override above MAX_DEGREE.  Errors
+    carry their position, and the first in the text is the one reported.
+    """
+    if formal_degree is not None and formal_degree > MAX_DEGREE:
+        raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
+        raise PolyParseError("empty polynomial", pos)
+    terms: dict[int, tuple[int, int]] = {}
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m["sign"] is None and terms:
+            raise PolyParseError("expected '+' or '-' between terms", pos)
+        if m["num"] is None and m["x"] is None:
+            raise PolyParseError("expected a coefficient or 'x'", m.end())
+        num, den = int(m["num"] or 1), _integer(m, "den")
+        if den == 0:
+            raise PolyParseError("zero denominator", m.start("den"))
+        exp = _integer(m, "exp")
+        if exp is None:
+            exp = 1 if m["x"] else 0
+        elif exp > MAX_DEGREE:
+            raise PolyParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", m.start("exp"))
+        num, den = (-num if m["sign"] == "-" else num), den or 1
+        if exp in terms:
+            prev_num, prev_den = terms[exp]
+            num, den = prev_num * den + num * prev_den, prev_den * den
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        terms[exp] = num, den
+        pos = m.end()
+    actual = max((e for e, (num, _) in terms.items() if num != 0), default=0)
+    if formal_degree is not None and formal_degree < actual:
+        raise ValueError(
+            f"formal degree override {formal_degree} is below the actual degree {actual}"
+        )
+    n = actual if formal_degree is None else formal_degree
+    coeffs = [terms.get(k, (0, 1)) for k in range(n + 1)]
+    return _integer_form(coeffs)
+
+
+def _integer_form(rationals: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(D, [D num/den ...]) for (num, den) pairs, D the lcm of the den."""
+    D = math.lcm(*(den for _, den in rationals))
+    return D, [num * (D // den) for num, den in rationals]
+
+
+def format_poly(A) -> str:
+    """Grammar-compatible rendering of a FormalPoly, highest exponent first."""
+    parts: list[str] = []
+    for e in range(A.formal_degree, -1, -1):
+        c = A.coeffs[e]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            body = "x" if mag == 1 else f"{mag}x"
+            if e > 1:
+                body += f"^{e}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
+    return "".join(parts) if parts else "0"
+
+
+def certificate_to_json(cert) -> dict:
+    """Exact-string JSON form of a Certificate; all rationals are serialized
+    as 'num/den' strings."""
+    if cert.irreducible:
+        transform = [str(x) for x in cert.transform.entries()]
+        witness = [str(c) for c in cert.witness.coeffs]
+        report = {
+            "d0": cert.report.d0,
+            "d1": cert.report.d1,
+            "d2": cert.report.d2,
+            "gcd_value": cert.report.d1_gcd,
+            "failing_index": cert.report.d2_failing_index,
+        }
+        prime = str(cert.prime)
+    else:
+        transform = witness = report = prime = None
+    audit = [
+        {"prime": str(e.prime), "stage": e.stage, "reason": e.reason} for e in cert.audit
+    ]
+    if not cert.candidate_primes_complete:
+        audit.append(
+            {"prime": None, "stage": 0, "reason": "candidate prime set possibly incomplete"}
+        )
+    return {
+        "input": format_poly(cert.input),
+        "formal_degree": cert.input.formal_degree,
+        "verdict": cert.verdict.value,
+        "prime": prime,
+        "transform": transform,
+        "witness_coeffs": witness,
+        "report": report,
+        "audit": audit,
+    }
+
+
+def _val(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m."""
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k
+
+
+def _binary_form(alpha: list[int], X: int, Y: int) -> int:
+    """sum alpha_i X^i Y^(n-i), by Horner's rule from the top."""
+    acc, Ypow = 0, 1
+    for ai in reversed(alpha):
+        acc = acc * X + ai * Ypow
+        Ypow *= Y
+    return acc
+
+
+def _acts_to(D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: list[int]) -> bool:
+    """Whether the witness (Dw, omega) is the input (D, alpha) acted on by the
+    matrix with integer entries g = lam * [a, b, c, d]: the identity
+    D lam^n Omega(k) = Dw F(ak+b, ck+d) at k = 0..n."""
+    n = len(alpha) - 1
+    if len(omega) != n + 1:
+        return False
+    a, b, c, d = g
+    scale = D * lam**n
+    for k in range(n + 1):
+        value = 0
+        for w in reversed(omega):
+            value = value * k + w
+        if scale * value != Dw * _binary_form(alpha, a * k + b, c * k + d):
+            return False
+    return True
+
+
+def _ed_report(omega: list[int], p: int) -> tuple[bool, bool, bool, int | None, int | None]:
+    """(d0, d1, d2, gcd, failing index) of the Eisenstein-Dumas conditions at
+    p, read from the integer numerators omega of a degree-n polynomial."""
+    n = len(omega) - 1
+    if omega[0] == 0 or omega[n] == 0:
+        return False, False, False, None, None
+    v0, vn = _val(omega[0], p), _val(omega[n], p)
+    g = math.gcd(v0 - vn, n)
+    failing = next(
+        (i for i, w in enumerate(omega) if w and n * _val(w, p) < (n - i) * v0 + i * vn), None
+    )
+    return True, g == 1, failing is None, g, failing
+
+
+def validate_certificate_json(data: object) -> tuple[bool, str]:
+    """Re-derive everything an irreducibility certificate claims.
+
+    Re-reads the input, decides witness = act(input, transform) by evaluation
+    at n+1 points, and re-derives the Eisenstein-Dumas report, comparing it
+    bit for bit with the stored one (see the module docstring).  Inconclusive
+    certificates only get a shape check.  Total: any malformed JSON value
+    gives (False, reason), never an exception.
+    """
+    if not isinstance(data, dict):
+        return False, "malformed certificate: not a JSON object"
+    try:
+        formal_degree = data["formal_degree"]
+        if not isinstance(formal_degree, int) or isinstance(formal_degree, bool):
+            raise TypeError(f"formal_degree must be an integer, got {formal_degree!r}")
+        D, alpha = read_poly(data["input"], formal_degree)
+        verdict = data["verdict"]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return False, f"malformed certificate: {exc}"
+    if verdict == "inconclusive":
+        for key in ("prime", "transform", "witness_coeffs", "report"):
+            if data.get(key) is not None:
+                return False, f"inconclusive certificate must have null {key}"
+        return True, "inconclusive certificate is well-formed (no claim to check)"
+    if verdict != "irreducible":
+        return False, f"unknown verdict {verdict!r}"
+    try:
+        prime = data["prime"]
+        if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
+            raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
+        p = int(prime)
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+        transform, coeffs = data["transform"], data["witness_coeffs"]
+        if not (isinstance(transform, list) and isinstance(coeffs, list)):
+            raise TypeError("transform and witness_coeffs must be lists of strings")
+        entries = [read_rational(x) for x in transform]
+        if len(entries) != 4:
+            raise TypeError(f"transform must have 4 entries, got {len(entries)}")
+        lam, g = _integer_form(entries)
+        if g[0] * g[3] == g[1] * g[2]:
+            raise ValueError("matrix is singular")
+        if not coeffs:
+            raise ValueError("coefficient vector must have at least one entry")
+        Dw, omega = _integer_form([read_rational(x) for x in coeffs])
+        report = data["report"]
+        if not isinstance(report, dict):
+            raise TypeError("report must be a JSON object")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return False, f"malformed certificate: {exc}"
+    if alpha[-1] == 0:
+        return False, "input's actual degree is below its formal degree"
+    if not _acts_to(D, alpha, g, lam, Dw, omega):
+        return False, "witness does not equal act(input, transform)"
+    keys = ("d0", "d1", "d2", "gcd_value", "failing_index")
+    stored = tuple(report.get(key) for key in keys)
+    fresh = _ed_report(omega, p)
+    if stored != fresh:
+        return False, f"stored report {stored} disagrees with recomputed {fresh}"
+    if not all(fresh[:3]):
+        return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    return True, f"witness is Eisenstein-Dumas at p = {p}"

@@ -161,6 +161,10 @@ class SearchConfig:
 
     rho_budget: int = DEFAULT_RHO_BUDGET
 
+    def __post_init__(self):
+        if self.rho_budget < 1:
+            raise ValueError(f"rho_budget must be at least 1, got {self.rho_budget}")
+
 
 class Verdict(enum.Enum):
     IRREDUCIBLE = "irreducible"

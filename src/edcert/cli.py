@@ -1,16 +1,13 @@
-"""Command-line front end: parsing, printing, JSON certificates, SVG plots.
+"""Command-line front end: argument parsing, printing and SVG plots.
 
-One grammar covers --poly, --matrix and the certificate text that `verify`
-re-reads.  Digits are ASCII 0-9; whitespace may appear between any two
-tokens, except after the sign of a rational:
+The subcommands only read arguments, call the library and print.  The text
+grammar of --poly, --matrix and the certificate rationals, the certificate
+JSON format and its checker live in edcert.certificate; the names this module
+has always offered (parse_poly, parse_rational, certificate_to_json,
+validate_certificate_json, PolyParseError, MAX_DEGREE) are re-exported here.
 
-    poly     := [sign] term (sign term)*
-    term     := coeff ['*'] [x ['^' int]]  |  x ['^' int]
-    coeff    := int | int '/' int
-    rational := [sign] coeff
-    sign     := '+' | '-'
-
-int/int is the only fractional form: decimals and exponents are rejected.
+The optional EDCERT_RHO_BUDGET environment variable caps the factoring
+effort of certify; it must be a positive integer in ASCII digits.
 
 Exit codes across all subcommands: 0 for success/true, 1 for
 inconclusive/false, 2 for usage, parse, or precondition errors.
@@ -21,126 +18,40 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
-from .certify import (
-    Certificate,
-    SearchConfig,
-    STAGE_NAMES,
-    Verdict,
-    certify_search,
+from .certificate import (
+    MAX_DEGREE,
+    PolyParseError,
+    certificate_to_json,
+    format_poly,
+    read_poly,
+    read_rational,
+    validate_certificate_json,
 )
+from .certify import SearchConfig, STAGE_NAMES, certify_search
 from .moebius import Mat2, act
 from .newton_ed import dumas_concat_holds, is_ed, is_ed_strict, newton_polygon
 from .poly import FormalPoly
 from .valuation import PAdic
 
 
-#: Largest exponent and formal degree accepted from outside; every degree the
-#: tests and the benchmark use is at most 24, and the work of the action and
-#: the search grows at least quadratically in the degree.
-MAX_DEGREE = 1000
-
-
-class PolyParseError(ValueError):
-    """Syntax error with a character position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-#: A rational: [sign]int or [sign]int/int, the sign against the first digit.
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?\s*")
-
-#: One polynomial term and the whitespace after it.  The denominator and the
-#: exponent may match empty, so that parse_poly can say where one is missing.
-_TERM = re.compile(
-    r"(?P<sign>[+-])?\s*(?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]*)\s*)?(?:\*\s*)?)?"
-    r"(?:(?P<x>[xX])\s*(?:\^\s*(?P<exp>[0-9]*))?)?\s*"
-)
-
-
 def parse_rational(text: str) -> Fraction:
     """[sign]int or [sign]int/int in ASCII digits; a non-string raises TypeError."""
-    m = _RATIONAL.fullmatch(text)
-    if m is None:
-        raise ValueError(f"invalid rational {text!r}: expected an integer or 'int/int'")
-    num, den = int(m[1]), int(m[2] or 1)
-    if den == 0:
-        raise ValueError(f"invalid rational {text!r}: zero denominator")
-    return Fraction(num, den)
-
-
-def _integer(m: re.Match, group: str) -> int | None:
-    """The integer in a term's group, None if absent; an empty group is an error."""
-    digits = m[group]
-    if digits == "":
-        raise PolyParseError("expected an integer", m.start(group))
-    return None if digits is None else int(digits)
+    return Fraction(*read_rational(text))
 
 
 def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
-    """Parse the polynomial grammar; like terms are combined.
+    """The polynomial grammar read by certificate.read_poly, as a FormalPoly.
 
     The formal degree is the largest exponent carrying a nonzero coefficient
     unless overridden upward; an override below the actual degree is an error,
     and so is an exponent or override above MAX_DEGREE.  Errors carry their
     position, and the first in the text is the one reported.
     """
-    if formal_degree is not None and formal_degree > MAX_DEGREE:
-        raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
-    pos = len(text) - len(text.lstrip())
-    if pos == len(text):
-        raise PolyParseError("empty polynomial", pos)
-    terms: dict[int, Fraction] = {}
-    while pos < len(text):
-        m = _TERM.match(text, pos)
-        if m["sign"] is None and terms:
-            raise PolyParseError("expected '+' or '-' between terms", pos)
-        if m["num"] is None and m["x"] is None:
-            raise PolyParseError("expected a coefficient or 'x'", m.end())
-        num, den = int(m["num"] or 1), _integer(m, "den")
-        if den == 0:
-            raise PolyParseError("zero denominator", m.start("den"))
-        exp = _integer(m, "exp")
-        if exp is None:
-            exp = 1 if m["x"] else 0
-        elif exp > MAX_DEGREE:
-            raise PolyParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", m.start("exp"))
-        sign = -1 if m["sign"] == "-" else 1
-        terms[exp] = terms.get(exp, 0) + Fraction(sign * num, den or 1)
-        pos = m.end()
-    actual = max((e for e, c in terms.items() if c != 0), default=0)
-    if formal_degree is not None and formal_degree < actual:
-        raise ValueError(
-            f"formal degree override {formal_degree} is below the actual degree {actual}"
-        )
-    n = actual if formal_degree is None else formal_degree
-    return FormalPoly(tuple(terms.get(k, Fraction(0)) for k in range(n + 1)))
-
-
-def format_poly(A: FormalPoly) -> str:
-    """Grammar-compatible rendering, highest exponent first."""
-    parts: list[str] = []
-    for e in range(A.formal_degree, -1, -1):
-        c = A.coeffs[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            body = "x" if mag == 1 else f"{mag}x"
-            if e > 1:
-                body += f"^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
-    return "".join(parts) if parts else "0"
+    D, alpha = read_poly(text, formal_degree)
+    return FormalPoly(tuple(Fraction(a, D) for a in alpha))
 
 
 def format_matrix(g: Mat2) -> str:
@@ -154,104 +65,6 @@ def parse_matrix(text: str) -> Mat2:
     if [len(row) for row in rows] != [2, 2]:
         raise ValueError(f"matrix must be 'a,b;c,d', got {text!r}")
     return Mat2(*(parse_rational(entry) for row in rows for entry in row))
-
-
-# -- JSON certificates --------------------------------------------------------
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    """Exact-string JSON form; all rationals are serialized as 'num/den' strings."""
-    if cert.verdict is Verdict.IRREDUCIBLE:
-        transform = [str(x) for x in cert.transform.entries()]
-        witness = [str(c) for c in cert.witness.coeffs]
-        report = {
-            "d0": cert.report.d0,
-            "d1": cert.report.d1,
-            "d2": cert.report.d2,
-            "gcd_value": cert.report.d1_gcd,
-            "failing_index": cert.report.d2_failing_index,
-        }
-        prime = str(cert.prime)
-    else:
-        transform = witness = report = prime = None
-    audit = [
-        {"prime": str(e.prime), "stage": e.stage, "reason": e.reason} for e in cert.audit
-    ]
-    if not cert.candidate_primes_complete:
-        audit.append(
-            {"prime": None, "stage": 0, "reason": "candidate prime set possibly incomplete"}
-        )
-    return {
-        "input": format_poly(cert.input),
-        "formal_degree": cert.input.formal_degree,
-        "verdict": cert.verdict.value,
-        "prime": prime,
-        "transform": transform,
-        "witness_coeffs": witness,
-        "report": report,
-        "audit": audit,
-    }
-
-
-def validate_certificate_json(data: object) -> tuple[bool, str]:
-    """Re-derive everything an irreducibility certificate claims.
-
-    Re-parses the input, recomputes act(input, transform), compares it to the
-    serialized witness, and re-runs the Eisenstein-Dumas report, comparing
-    bit for bit.  Inconclusive certificates only get a shape check.  Total:
-    any malformed JSON value gives (False, reason), never an exception.
-    """
-    if not isinstance(data, dict):
-        return False, "malformed certificate: not a JSON object"
-    try:
-        formal_degree = data["formal_degree"]
-        if not isinstance(formal_degree, int) or isinstance(formal_degree, bool):
-            raise TypeError(f"formal_degree must be an integer, got {formal_degree!r}")
-        A = parse_poly(data["input"], formal_degree)
-        verdict = data["verdict"]
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        return False, f"malformed certificate: {exc}"
-    if verdict == "inconclusive":
-        for key in ("prime", "transform", "witness_coeffs", "report"):
-            if data.get(key) is not None:
-                return False, f"inconclusive certificate must have null {key}"
-        return True, "inconclusive certificate is well-formed (no claim to check)"
-    if verdict != "irreducible":
-        return False, f"unknown verdict {verdict!r}"
-    try:
-        prime = data["prime"]
-        if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
-            raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
-        vp = PAdic(int(prime))
-        transform, coeffs = data["transform"], data["witness_coeffs"]
-        if not (isinstance(transform, list) and isinstance(coeffs, list)):
-            raise TypeError("transform and witness_coeffs must be lists of strings")
-        g = Mat2(*map(parse_rational, transform))
-        witness = FormalPoly(tuple(map(parse_rational, coeffs)))
-        report = data["report"]
-        if not isinstance(report, dict):
-            raise TypeError("report must be a JSON object")
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        return False, f"malformed certificate: {exc}"
-    if A.actual_degree != A.formal_degree:
-        return False, "input's actual degree is below its formal degree"
-    recomputed = act(A, g)
-    if recomputed != witness:
-        return False, "witness does not equal act(input, transform)"
-    rep = is_ed(witness, vp)
-    stored = (
-        report.get("d0"),
-        report.get("d1"),
-        report.get("d2"),
-        report.get("gcd_value"),
-        report.get("failing_index"),
-    )
-    fresh = (rep.d0, rep.d1, rep.d2, rep.d1_gcd, rep.d2_failing_index)
-    if stored != fresh:
-        return False, f"stored report {stored} disagrees with recomputed {fresh}"
-    if not rep.verdict:
-        return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
-    return True, f"witness is Eisenstein-Dumas at p = {vp.p}"
 
 
 # -- SVG Newton polygon plots -------------------------------------------------
@@ -371,6 +184,8 @@ def _cmd_act(args) -> int:
 def _cmd_certify(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     budget = os.environ.get("EDCERT_RHO_BUDGET")
+    if budget and not (budget.isascii() and budget.isdigit()):
+        raise ValueError(f"EDCERT_RHO_BUDGET must be a positive integer in ASCII digits, got {budget!r}")
     config = SearchConfig(rho_budget=int(budget)) if budget else SearchConfig()
     cert = certify_search(A, config)
     if cert.irreducible:

@@ -27,7 +27,7 @@ from edcert import (
     upper_transform,
 )
 from edcert.certify import _failure_reason
-from edcert.cli import MAX_DEGREE, PolyParseError
+from edcert.cli import MAX_DEGREE, PolyParseError, parse_poly, parse_rational
 from edcert.exact_arith import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, is_probable_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -493,3 +493,68 @@ def reference_parse_poly(text: str, formal_degree: int | None = None) -> FormalP
             )
         n = formal_degree
     return FormalPoly(tuple(terms.get(k, Fraction(0)) for k in range(n + 1)))
+
+
+def reference_validate_certificate_json(data: object) -> tuple[bool, str]:
+    """validate_certificate_json as it was before the integer checker, on
+    the search's own act and is_ed.  The mutation fuzz compares
+    validate_certificate_json against it.
+
+    Re-derive everything an irreducibility certificate claims.
+
+    Re-parses the input, recomputes act(input, transform), compares it to the
+    serialized witness, and re-runs the Eisenstein-Dumas report, comparing
+    bit for bit.  Inconclusive certificates only get a shape check.  Total:
+    any malformed JSON value gives (False, reason), never an exception.
+    """
+    if not isinstance(data, dict):
+        return False, "malformed certificate: not a JSON object"
+    try:
+        formal_degree = data["formal_degree"]
+        if not isinstance(formal_degree, int) or isinstance(formal_degree, bool):
+            raise TypeError(f"formal_degree must be an integer, got {formal_degree!r}")
+        A = parse_poly(data["input"], formal_degree)
+        verdict = data["verdict"]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return False, f"malformed certificate: {exc}"
+    if verdict == "inconclusive":
+        for key in ("prime", "transform", "witness_coeffs", "report"):
+            if data.get(key) is not None:
+                return False, f"inconclusive certificate must have null {key}"
+        return True, "inconclusive certificate is well-formed (no claim to check)"
+    if verdict != "irreducible":
+        return False, f"unknown verdict {verdict!r}"
+    try:
+        prime = data["prime"]
+        if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
+            raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
+        vp = PAdic(int(prime))
+        transform, coeffs = data["transform"], data["witness_coeffs"]
+        if not (isinstance(transform, list) and isinstance(coeffs, list)):
+            raise TypeError("transform and witness_coeffs must be lists of strings")
+        g = Mat2(*map(parse_rational, transform))
+        witness = FormalPoly(tuple(map(parse_rational, coeffs)))
+        report = data["report"]
+        if not isinstance(report, dict):
+            raise TypeError("report must be a JSON object")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        return False, f"malformed certificate: {exc}"
+    if A.actual_degree != A.formal_degree:
+        return False, "input's actual degree is below its formal degree"
+    recomputed = act(A, g)
+    if recomputed != witness:
+        return False, "witness does not equal act(input, transform)"
+    rep = is_ed(witness, vp)
+    stored = (
+        report.get("d0"),
+        report.get("d1"),
+        report.get("d2"),
+        report.get("gcd_value"),
+        report.get("failing_index"),
+    )
+    fresh = (rep.d0, rep.d1, rep.d2, rep.d1_gcd, rep.d2_failing_index)
+    if stored != fresh:
+        return False, f"stored report {stored} disagrees with recomputed {fresh}"
+    if not rep.verdict:
+        return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    return True, f"witness is Eisenstein-Dumas at p = {vp.p}"

@@ -8,6 +8,7 @@ from edcert import (
     Certificate,
     FormalPoly,
     Mat2,
+    SearchConfig,
     Verdict,
     act,
     candidate_primes,
@@ -222,6 +223,12 @@ def test_certify_preconditions():
         certify_search(poly(1, 2, 0, n=2))  # actual < formal degree
     with pytest.raises(ValueError):
         certify_search(poly(3, 1))  # degree 1
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_config_rejects_a_budget_below_one(budget):
+    with pytest.raises(ValueError, match="at least 1"):
+        SearchConfig(rho_budget=budget)
 
 
 def test_certify_prime_from_a_transform_ratio():

@@ -224,6 +224,15 @@ def test_certify_env_var_caps_factoring_effort(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["\u0661\u0660\u0660\u0660\u0660\u0660", "1_000", "-5", "0"])
+def test_certify_rejects_a_bad_rho_budget(budget, capsys, monkeypatch):
+    # Arabic-Indic 100000, an underscore, a negative and a zero budget
+    monkeypatch.setenv("EDCERT_RHO_BUDGET", budget)
+    assert main(["certify", "--poly", "x^2+4x+8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("ASCII digits" in err or "at least 1" in err), err
+
+
 def test_formal_degree_flag(capsys):
     assert main(["act", "--poly", "x^2+1", "--formal-degree", "3", "--matrix", "0,1;1,0"]) == 0
     # reversal at formal degree 3 shifts everything up by one slot
