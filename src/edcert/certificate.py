@@ -147,20 +147,20 @@ def format_poly(A) -> str:
     """Grammar-compatible rendering of a FormalPoly, highest exponent first."""
     parts: list[str] = []
     for e in range(A.formal_degree, -1, -1):
-        c = A.coeffs[e]
-        if c == 0:
+        num, den = A.coeffs[e].numerator, A.coeffs[e].denominator
+        if num == 0:
             continue
-        mag = abs(c)
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
         if e == 0:
-            body = str(mag)
+            body = mag
         else:
-            body = "x" if mag == 1 else f"{mag}x"
+            body = "x" if mag == "1" else f"{mag}x"
             if e > 1:
                 body += f"^{e}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"{' + ' if c > 0 else ' - '}{body}")
+            parts.append(f"{' + ' if num > 0 else ' - '}{body}")
     return "".join(parts) if parts else "0"
 
 

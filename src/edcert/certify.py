@@ -31,7 +31,7 @@ computed once per grid point, and only members passing both are built.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor, gcd
@@ -97,16 +97,10 @@ def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly
 
 @dataclass(frozen=True)
 class CandidatePrimes:
-    """Primes that could possibly admit a witness, plus a completeness flag.
-
-    ``upper`` is the (matrix, polynomial) pair of U(A) the ratio was read
-    from, None where it was not built; it lets the search reuse it and takes
-    no part in equality.
-    """
+    """Primes that could possibly admit a witness, plus a completeness flag."""
 
     primes: frozenset[int]
     complete: bool
-    upper: tuple[Mat2, FormalPoly] | None = field(default=None, compare=False)
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -115,37 +109,30 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     b_0/b_n of U(A)'s endpoint coefficients (or c_0/c_n of L(A)'s) has
     nonzero valuation, i.e. primes dividing its numerator or denominator.
 
+    Neither transform is built: by the endpoint lemma (see certify_search)
+    U(A) has endpoints b_0 = A(s), s = -a_{n-1}/(n a_n), and b_n = a_n, and
+    L(A) has c_0 = a_0 and c_n = sum a_i s'^(n-i) = reverse(A)(s'),
+    s' = -a_1/(n a_0), so two Horner evaluations give both ratios.
+
     With a zero endpoint coefficient only the divisors of n are returned and
     the flag is dropped to False (degenerate case).  The flag is also False
     whenever a factorization ran out of budget.
     """
-    n = A.formal_degree
-    primes: set[int] = set()
-    complete = True
-
-    def absorb(x: int) -> None:
-        nonlocal complete
-        if abs(x) <= 1:
-            return
-        fz = factor(x, rho_budget=rho_budget)
-        primes.update(fz.primes)
-        complete = complete and fz.complete
-
-    degenerate = n < 1 or A.coeffs[0] == 0 or A.coeffs[n] == 0
-    if n >= 2:
-        absorb(n)
-    if degenerate:
-        return CandidatePrimes(frozenset(primes), False)
-
-    upper = upper_transform(A)
-    for _, B in (upper, lower_transform(A)):
-        b0, bn = B.coeffs[0], B.coeffs[-1]
-        if b0 == 0 or bn == 0:
-            continue  # that transform cannot satisfy (D0) at any prime
-        ratio = b0 / bn
-        absorb(ratio.numerator)
-        absorb(ratio.denominator)
-    return CandidatePrimes(frozenset(primes), complete, upper)
+    n, a = A.formal_degree, A.coeffs
+    degenerate = n < 1 or a[0] == 0 or a[n] == 0
+    values = [n]
+    if not degenerate:
+        upper = A.eval(-a[n - 1] / (n * a[n])), a[n]
+        lower = a[0], A.reverse().eval(-a[1] / (n * a[0]))
+        for b0, bn in (upper, lower):
+            if b0 != 0 and bn != 0:  # else that transform fails (D0) at every prime
+                ratio = b0 / bn
+                values += [ratio.numerator, ratio.denominator]
+    found = [factor(x, rho_budget=rho_budget) for x in values if abs(x) > 1]
+    return CandidatePrimes(
+        frozenset(p for fz in found for p in fz.primes),
+        not degenerate and all(fz.complete for fz in found),
+    )
 
 
 def default_t_grid(height: int = 8) -> tuple[Fraction, ...]:
@@ -211,6 +198,9 @@ STAGE_NAMES = {
     2: "upper transform",
     4: "one-parameter family",
 }
+
+
+_IDENTITY = Mat2.identity()  # the stage-1 transform; Mat2 is immutable
 
 
 def _failure_reason(report: EDReport) -> str:
@@ -282,9 +272,9 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     cand = candidate_primes(A, rho_budget=config.rho_budget)
     audit: list[AuditEntry] = []
 
-    # U(A) and the family members do not depend on the prime.  With a_0 = 0
-    # candidate_primes does not build U(A).
-    upper_pair = cand.upper or upper_transform(A)
+    # U(A) and the family members do not depend on the prime; U(A) is built
+    # when stage 2 first runs.
+    upper_pair: tuple[Mat2, FormalPoly] | None = None
     # Stage 4 grid entries (t, phi(t), A(t), A(phi(t))), and the members
     # built so far by their index in the grid.
     grid: list[tuple[Fraction, Fraction, Fraction, Fraction]] | None = None
@@ -308,7 +298,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
         vp = PAdic(p)
         report = is_ed(A, vp)
         if report.verdict:
-            return success(vp, 1, Mat2.identity(), A, report)
+            return success(vp, 1, _IDENTITY, A, report)
         audit.append(AuditEntry(p, 1, _failure_reason(report)))
 
         if n % p == 0:
@@ -316,6 +306,8 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
             audit.append(AuditEntry(p, 0, reason))
             continue
 
+        if upper_pair is None:
+            upper_pair = upper_transform(A)
         m, upper = upper_pair
         report = is_ed(upper, vp)
         if report.verdict:

@@ -33,8 +33,11 @@ from .certificate import (
 from .certify import SearchConfig, STAGE_NAMES, certify_search
 from .moebius import Mat2, act
 from .newton_ed import dumas_concat_holds, is_ed, is_ed_strict, newton_polygon
-from .poly import FormalPoly
+from .poly import FormalPoly, _integer_form
 from .valuation import PAdic
+
+#: Most digits act prints in a coefficient: the interpreter's default limit.
+MAX_ACT_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
@@ -173,9 +176,23 @@ def _cmd_newton(args) -> int:
     return 0
 
 
+def _act_digits(A: FormalPoly, g: Mat2) -> int:
+    """An upper bound on the digits of each numerator and denominator of
+    act(A, g), in O(n): poly._substitute gives N / (D lam^n) with
+    |N| <= (n+1) max|D a_i| M^n, M the larger row sum of |lam g|."""
+    (D, alpha), (lam, (a, b, c, d)) = _integer_form(A.coeffs), _integer_form(g.entries())
+    M, n = max(abs(a) + abs(b), abs(c) + abs(d), lam), len(alpha) - 1
+    bits = (n + 1).bit_length() + max(D, *map(abs, alpha)).bit_length() + n * M.bit_length()
+    return bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
+
+
 def _cmd_act(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     g = parse_matrix(args.matrix)
+    if (digits := _act_digits(A, g)) > MAX_ACT_DIGITS:
+        raise ValueError(
+            f"input too large: a result coefficient may have {digits} digits, over {MAX_ACT_DIGITS}"
+        )
     B = act(A, g)
     print(f"{format_poly(B)} (formal degree {B.formal_degree})")
     return 0

@@ -19,7 +19,8 @@ primes in the range.  One gcd with that product tells whether any of those
 primes divides n, so a range without a factor costs one gcd instead of a
 division per odd number.  The table is built by a segmented sieve one range
 at a time, only as far as some call's trial division has reached; nothing is
-built at import, and only the products are kept, not the primes.
+built at import, and only the products are kept, not the primes.  A cofactor
+that Miller-Rabin proves prime (below psi_13, about 3.3e24) ends the walk early.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ Rational = Fraction
 # 318665857834031151167461); beyond that the same bases give a strong
 # probable-prime test, which is ample at the scales factor() targets.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981  # psi_13, the exact bound above
 
 DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 500_000
@@ -178,9 +180,11 @@ def factor(
     starting above the square root of what is left.  A range whose product
     shares a factor with n is stripped in ascending order; its composites
     never divide, because their prime factors lie below the range and are
-    already stripped.  Raises ValueError for n == 0.  The randomized stage
-    is seeded from the cofactor trial division leaves, so results are
-    reproducible run to run.
+    already stripped.  A cofactor proven prime after the first range, or after
+    one that divided n, ends the walk with the result the full walk would give:
+    no later range divides it, and it is then recorded as a prime either way.
+    Raises ValueError for n == 0.  The randomized stage is seeded from the
+    cofactor trial division leaves, so results are reproducible run to run.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -195,6 +199,7 @@ def factor(
             _extend_segments()
         lo, hi, product = _SEGMENTS[i]
         g = math.gcd(n, product)
+        check_prime = i == 0 or g > 1
         for d in range(lo, min(hi, trial_bound + 1)):
             if g == 1 or d * d > n:
                 break
@@ -204,6 +209,9 @@ def factor(
                     found[d] = found.get(d, 0) + 1
                     n //= d
         lo = hi
+        if check_prime and n < _MR_PROVEN_BELOW and is_probable_prime(n):
+            found[n] = 1
+            n = 1
 
     leftover = 1
     if n > 1:

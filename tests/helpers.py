@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from edcert import (
     AuditEntry,
+    CandidatePrimes,
     Certificate,
     Factorization,
     FormalPoly,
@@ -21,6 +22,7 @@ from edcert import (
     act,
     candidate_primes,
     default_t_grid,
+    factor,
     gcd,
     is_ed,
     lower_transform,
@@ -292,6 +294,37 @@ def random_ed_polynomial(
     return FormalPoly.from_coeffs(coeffs), p
 
 
+def reference_candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
+    """candidate_primes as it was before it read the endpoint ratios from two
+    Horner evaluations: it builds U(A) and L(A) in full and reads the ratio
+    of each one's constant and leading coefficients.  The differential tests
+    compare candidate_primes against it."""
+    n = A.formal_degree
+    primes: set[int] = set()
+    complete = True
+
+    def absorb(x: int) -> None:
+        nonlocal complete
+        if abs(x) <= 1:
+            return
+        fz = factor(x, rho_budget=rho_budget)
+        primes.update(fz.primes)
+        complete = complete and fz.complete
+
+    if n >= 2:
+        absorb(n)
+    if n < 1 or A.coeffs[0] == 0 or A.coeffs[n] == 0:
+        return CandidatePrimes(frozenset(primes), False)
+    for _, B in (upper_transform(A), lower_transform(A)):
+        b0, bn = B.coeffs[0], B.coeffs[-1]
+        if b0 == 0 or bn == 0:
+            continue
+        ratio = b0 / bn
+        absorb(ratio.numerator)
+        absorb(ratio.denominator)
+    return CandidatePrimes(frozenset(primes), complete)
+
+
 _REFERENCE_GRID = default_t_grid(8)
 
 
@@ -310,7 +343,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
 
     cand = candidate_primes(A)
     audit: list[AuditEntry] = []
-    upper_pair = cand.upper or upper_transform(A)
+    upper_pair = upper_transform(A)
     lower_pair = lower_transform(A) if A.coeffs[0] != 0 else None
     grid: list[tuple[Fraction, Fraction, Fraction, Fraction]] | None = None
     members: dict[int, tuple[Mat2, FormalPoly]] = {}

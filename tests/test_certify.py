@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from helpers import (
     random_ed_polynomial,
     random_int_poly,
     random_shaped_mat,
+    reference_candidate_primes,
     reference_certify_search,
 )
+import edcert.certify as certify_module
 from edcert.certify import _endpoints_pass, _failure_reason
 from edcert.cli import certificate_to_json
 
@@ -147,6 +150,51 @@ def test_candidate_primes_examples():
 def test_candidate_primes_degenerate():
     cp = candidate_primes(poly(0, 3, 1, 1))  # a_0 = 0
     assert cp.primes == {3} and not cp.complete
+
+
+def test_candidate_primes_match_the_transform_reference():
+    # The ratios come from two endpoint values, A(s) and reverse(A)(s'); the
+    # reference builds U(A) and L(A) in full.  Kinds: a_1 = 0 and a_(n-1) = 0
+    # (a zero shift), a_0 = 0 and a_n = 0 (degenerate), (k x + r)^n (a zero
+    # endpoint in both transforms), and plain draws.
+    rng = random.Random(4211)
+    kinds = Counter()
+    for k in range(660):
+        n = 2 + k % 11
+        kind = ("plain", "a_1 = 0", "a_(n-1) = 0", "a_0 = 0", "a_n = 0", "power")[k % 6]
+        if kind == "power":
+            linear = poly(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+            A = poly(rng.choice((-2, 1, Fraction(3, 2))))
+            for _ in range(n):
+                A = A.mul(linear)
+        else:
+            cs = [Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 5, 12))) for _ in range(n + 1)]
+            cs[0] = cs[0] or Fraction(1)
+            cs[n] = cs[n] or Fraction(-7, 3)
+            zeroed = {"a_1 = 0": 1, "a_(n-1) = 0": n - 1, "a_0 = 0": 0, "a_n = 0": n}
+            if kind in zeroed:
+                cs[zeroed[kind]] = Fraction(0)
+            A = FormalPoly.from_coeffs(cs)
+        got = candidate_primes(A, rho_budget=300)
+        assert got == reference_candidate_primes(A, rho_budget=300), (kind, A)
+        kinds[kind, got.complete] += 1
+    assert sum(kinds.values()) >= 500
+    assert kinds["a_0 = 0", False] == kinds["a_n = 0", False] == 110, kinds
+    for kind in ("plain", "a_1 = 0", "a_(n-1) = 0", "power"):
+        assert kinds[kind, True] >= 50, kinds
+    assert kinds["plain", False] >= 5, kinds  # some ratio ran out of rho budget
+
+
+def test_search_builds_the_upper_transform_only_when_stage_two_runs(monkeypatch):
+    real_act = certify_module.act
+    calls = []
+    monkeypatch.setattr(certify_module, "act", lambda A, g: calls.append(g) or real_act(A, g))
+    cert = certify_search(poly(8, 4, 1))  # Eisenstein at 2, the first prime
+    assert (cert.stage, cert.prime) == (1, 2) and calls == []
+
+    # (x + 1)^3 + 2: A fails at 2, U(A) = x^3 + 2 is the stage-2 witness
+    cert = certify_search(poly(3, 3, 3, 1))
+    assert (cert.stage, cert.prime) == (2, 2) and calls == [Mat2.shear(-1)]
 
 
 def test_default_t_grid():
@@ -289,7 +337,7 @@ def _eager_certify_search(A):
     n = A.formal_degree
     cand = candidate_primes(A)
     audit = []
-    upper_pair = cand.upper or upper_transform(A)
+    upper_pair = upper_transform(A)
     members = None
     members_skipped = 0
 

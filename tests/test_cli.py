@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import FormalPoly, Mat2
+from edcert import FormalPoly, Mat2, act
 from edcert.cli import (
+    MAX_ACT_DIGITS,
     MAX_DEGREE,
     PolyParseError,
     certificate_to_json,
@@ -19,6 +20,7 @@ from edcert.cli import (
     parse_rational,
     validate_certificate_json,
 )
+from edcert.cli import _act_digits
 from edcert.certify import certify_search
 from edcert.valuation import PAdic
 from helpers import reference_parse_poly, reference_parse_rational
@@ -259,6 +261,44 @@ def test_hostile_degrees_exit_2_at_once(argv, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x^100+1", "x^10+1"])
+def test_act_refuses_a_result_too_long_to_print_at_once(text, capsys):
+    # A 4000-digit entry passes the grammar; acting on x^100 + 1 took minutes,
+    # and on x^10 + 1 printing the result failed with the interpreter's limit.
+    t0 = time.perf_counter()
+    assert main(["act", "--poly", text, "--matrix", "9" * 4000 + ",1;0,1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large") and f"over {MAX_ACT_DIGITS}" in err, err
+
+
+def test_act_prints_a_long_result_within_the_limit(capsys):
+    big = 10**2000  # (big x + 1)^2 + 1 has a 4001-digit leading coefficient
+    assert main(["act", "--poly", "x^2+1", "--matrix", f"{big},1;0,1"]) == 0
+    assert capsys.readouterr().out.strip() == f"{big**2}x^2 + {2 * big}x + 2 (formal degree 2)"
+
+
+def test_act_digit_bound_covers_every_coefficient():
+    rng = random.Random(90210)
+
+    def rational(num_digits, den_digits):
+        bound = 10**num_digits
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 10 ** rng.randint(0, den_digits)))
+
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        A = FormalPoly.from_coeffs([rational(6, 5) for _ in range(n + 1)])
+        while True:
+            entries = [rational(9, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(4)]
+            if entries[0] * entries[3] != entries[1] * entries[2]:
+                break
+        g = Mat2(*entries)
+        B = act(A, g)
+        longest = max(len(str(x)) for c in B.coeffs for x in (abs(c.numerator), c.denominator))
+        assert longest <= _act_digits(A, g), (A, g)
+    assert _act_digits(FormalPoly.from_coeffs([1, 0, 1]), Mat2(10**2000, 1, 0, 1)) == 4001
 
 
 def test_verify_rejects_a_hostile_formal_degree_at_once(tmp_path, capsys):

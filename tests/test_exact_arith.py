@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edcert import Factorization, PAdic, Rational, factor, gcd, is_probable_prime
+from edcert import Factorization, PAdic, Rational, exact_arith, factor, gcd, is_probable_prime
 from helpers import reference_factor
 
 
@@ -59,6 +59,33 @@ def _prime_above(n):
     return n
 
 
+PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to the bases 2..41
+
+# Inputs around the early stop of trial division at a cofactor that
+# Miller-Rabin proves prime, which it does only below PSI_13.
+_PROVEN_PRIME_EDGE_CASES = [
+    # a small factor times a prime cofactor just below and just above PSI_13
+    6 * _prime_at_or_below(PSI_13 - 1),
+    35 * _prime_above(PSI_13),
+    4099 * _prime_at_or_below(PSI_13 - 1),
+    # squares and cubes of primes above 10^6
+    1000033**2,
+    1000033**3,
+    12 * 1000000007**2,
+    (10**9 + 7) ** 3,
+    # Carmichael numbers
+    561,
+    41041,
+    825265,
+    # the first strong pseudoprimes to 12 and 13 prime bases, times small primes
+    2 * PSI_12,
+    3 * 5 * PSI_12,
+    2 * PSI_13,
+    7 * 4093 * PSI_13,
+]
+
+
 @pytest.mark.parametrize("trial_bound", [1, 2, 3, 100, 4095, 4096, 4097, 10**6])
 def test_factor_matches_reference(trial_bound):
     # Trial division by sieved prime blocks must leave the same cofactor to
@@ -72,9 +99,35 @@ def test_factor_matches_reference(trial_bound):
     inputs.append(_prime_above((trial_bound + 1) ** 2))
     inputs += [1000003 * rng.randrange(1, 10**12) for _ in range(4)]
     inputs += [1000003**2, 999983 * 1000003, -(2**4) * 1000003]
+    inputs += _PROVEN_PRIME_EDGE_CASES
     for n in inputs:
         kwargs = dict(trial_bound=trial_bound, rho_budget=20_000)
         assert factor(n, **kwargs) == reference_factor(n, **kwargs), n
+
+
+class _CountingTable(list):
+    """The segment table, counting the ranges factor() reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_factor_stops_at_a_proven_prime_cofactor(monkeypatch):
+    # Below PSI_13 a prime cofactor ends trial division after the range that
+    # exposed it; at PSI_13 and above the whole table is still walked.
+    below, above = 6 * _prime_at_or_below(PSI_13 - 1), 6 * _prime_above(PSI_13)
+    for n in (below, above):
+        fz = factor(n)
+        assert fz == reference_factor(n) and fz.complete and len(fz.factors) == 3
+    every = 10**6 // 4096 + 1  # the ranges starting at or below the trial bound 10^6
+    for n, ranges in ((below, 1), (above, every), (4099 * below, 2)):
+        table = _CountingTable(exact_arith._SEGMENTS)
+        monkeypatch.setattr(exact_arith, "_SEGMENTS", table)
+        factor(n)
+        assert table.reads == ranges, n
 
 
 def test_factor_matches_reference_when_rho_runs_out():
