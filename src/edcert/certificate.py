@@ -10,7 +10,8 @@ any two tokens, except after the sign of a rational:
     rational := [sign] coeff
     sign     := '+' | '-'
 
-int/int is the only fractional form: decimals and exponents are rejected.
+int/int is the only fractional form: decimals and exponents are rejected,
+and so is a run of more than MAX_DIGITS digits.
 The readers return integer forms: a rational as (num, den) with den > 0, not
 reduced, and a polynomial as (D, [D a_0, ..., D a_n]) with D > 0 a common
 denominator, so that every entry is an integer.
@@ -50,6 +51,10 @@ from .exact_arith import is_probable_prime
 #: the search grows at least quadratically in the degree.
 MAX_DEGREE = 1000
 
+#: Most digits in one integer literal read or printed: the interpreter's
+#: default limit on conversions between int and str.
+MAX_DIGITS = 4300
+
 
 class PolyParseError(ValueError):
     """Syntax error with a character position."""
@@ -76,18 +81,27 @@ def read_rational(text: str) -> tuple[int, int]:
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational {text!r}: expected an integer or 'int/int'")
+    if len(text) > MAX_DIGITS:  # only then can a digit run be too long
+        _integer(m, 1), _integer(m, 2)
     num, den = int(m[1]), int(m[2] or 1)
     if den == 0:
         raise ValueError(f"invalid rational {text!r}: zero denominator")
     return num, den
 
 
-def _integer(m: re.Match, group: str) -> int | None:
-    """The integer in a term's group, None if absent; an empty group is an error."""
+def _integer(m: re.Match, group: int | str) -> int | None:
+    """The integer in a group of m, None if absent; an empty group, or one of
+    more than MAX_DIGITS digits, is an error."""
     digits = m[group]
     if digits == "":
         raise PolyParseError("expected an integer", m.start(group))
-    return None if digits is None else int(digits)
+    if digits is None:
+        return None
+    if (size := len(digits.lstrip("+-"))) > MAX_DIGITS:
+        raise PolyParseError(
+            f"integer of {size} digits exceeds the limit {MAX_DIGITS}", m.start(group)
+        )
+    return int(digits)
 
 
 def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[int]]:
@@ -111,7 +125,7 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
             raise PolyParseError("expected '+' or '-' between terms", pos)
         if m["num"] is None and m["x"] is None:
             raise PolyParseError("expected a coefficient or 'x'", m.end())
-        num, den = int(m["num"] or 1), _integer(m, "den")
+        num, den = _integer(m, "num"), _integer(m, "den")
         if den == 0:
             raise PolyParseError("zero denominator", m.start("den"))
         exp = _integer(m, "exp")
@@ -119,6 +133,7 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
             exp = 1 if m["x"] else 0
         elif exp > MAX_DEGREE:
             raise PolyParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", m.start("exp"))
+        num = 1 if num is None else num
         num, den = (-num if m["sign"] == "-" else num), den or 1
         if exp in terms:
             prev_num, prev_den = terms[exp]
@@ -147,7 +162,8 @@ def format_poly(A) -> str:
     """Grammar-compatible rendering of a FormalPoly, highest exponent first."""
     parts: list[str] = []
     for e in range(A.formal_degree, -1, -1):
-        num, den = A.coeffs[e].numerator, A.coeffs[e].denominator
+        g = math.gcd(A.nums[e], A.den)
+        num, den = A.nums[e] // g, A.den // g
         if num == 0:
             continue
         mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
@@ -279,6 +295,8 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
         prime = data["prime"]
         if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
             raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
+        if len(prime) > MAX_DIGITS:
+            raise ValueError(f"prime of {len(prime)} digits exceeds the limit {MAX_DIGITS}")
         p = int(prime)
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")

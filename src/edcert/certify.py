@@ -37,7 +37,7 @@ from fractions import Fraction
 from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor, gcd
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
-from .poly import FormalPoly, _coerce
+from .poly import FormalPoly
 from .valuation import PAdic
 
 
@@ -49,10 +49,10 @@ def upper_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     n = A.formal_degree
     if n < 1:
         raise ValueError("upper transform requires formal degree >= 1")
-    an = A.coeffs[n]
-    if an == 0:
+    a = A.nums
+    if a[n] == 0:
         raise ValueError("upper transform undefined: coefficient at the formal degree is zero")
-    m = Mat2.shear(-A.coeffs[n - 1] / (n * an))
+    m = Mat2.shear(Fraction(-a[n - 1], n * a[n]))
     return m, act(A, m)
 
 
@@ -64,16 +64,15 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     n = A.formal_degree
     if n < 1:
         raise ValueError("lower transform requires formal degree >= 1")
-    a0 = A.coeffs[0]
-    if a0 == 0:
+    a = A.nums
+    if a[0] == 0:
         raise ValueError("lower transform undefined: constant coefficient is zero")
-    m = Mat2(1, 0, -A.coeffs[1] / (n * a0), 1)
+    m = Mat2(1, 0, Fraction(-a[1], n * a[0]), 1)
     return m, act(A, m)
 
 
 def phi(A: FormalPoly, t: Rational | int) -> Fraction:
     """The family parameter map t - n * A(t) / A'(t); needs A'(t) != 0."""
-    t = _coerce(t)
     deriv = A.derivative().eval(t)
     if deriv == 0:
         raise ValueError("phi undefined: A'(t) = 0")
@@ -118,12 +117,12 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     the flag is dropped to False (degenerate case).  The flag is also False
     whenever a factorization ran out of budget.
     """
-    n, a = A.formal_degree, A.coeffs
+    n, a = A.formal_degree, A.nums
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
     if not degenerate:
-        upper = A.eval(-a[n - 1] / (n * a[n])), a[n]
-        lower = a[0], A.reverse().eval(-a[1] / (n * a[0]))
+        upper = A.eval(Fraction(-a[n - 1], n * a[n])), A.leading
+        lower = A.constant, A.reverse().eval(Fraction(-a[1], n * a[0]))
         for b0, bn in (upper, lower):
             if b0 != 0 and bn != 0:  # else that transform fails (D0) at every prime
                 ratio = b0 / bn

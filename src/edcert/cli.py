@@ -4,7 +4,8 @@ The subcommands only read arguments, call the library and print.  The text
 grammar of --poly, --matrix and the certificate rationals, the certificate
 JSON format and its checker live in edcert.certificate; the names this module
 has always offered (parse_poly, parse_rational, certificate_to_json,
-validate_certificate_json, PolyParseError, MAX_DEGREE) are re-exported here.
+validate_certificate_json, PolyParseError, MAX_DEGREE, MAX_DIGITS) are
+re-exported here.
 
 The optional EDCERT_RHO_BUDGET environment variable caps the factoring
 effort of certify; it must be a positive integer in ASCII digits.
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .certificate import (
     MAX_DEGREE,
+    MAX_DIGITS,
     PolyParseError,
     certificate_to_json,
     format_poly,
@@ -33,11 +36,8 @@ from .certificate import (
 from .certify import SearchConfig, STAGE_NAMES, certify_search
 from .moebius import Mat2, act
 from .newton_ed import dumas_concat_holds, is_ed, is_ed_strict, newton_polygon
-from .poly import FormalPoly, _integer_form
+from .poly import FormalPoly
 from .valuation import PAdic
-
-#: Most digits act prints in a coefficient: the interpreter's default limit.
-MAX_ACT_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
@@ -53,8 +53,7 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
     and so is an exponent or override above MAX_DEGREE.  Errors carry their
     position, and the first in the text is the one reported.
     """
-    D, alpha = read_poly(text, formal_degree)
-    return FormalPoly(tuple(Fraction(a, D) for a in alpha))
+    return FormalPoly(*read_poly(text, formal_degree))
 
 
 def format_matrix(g: Mat2) -> str:
@@ -78,7 +77,7 @@ _SVG_W, _SVG_H, _SVG_MARGIN = 640, 480, 60
 def newton_polygon_svg(A: FormalPoly, v: PAdic) -> str:
     """Deterministic standalone SVG: support points as circles, hull as a polyline."""
     polygon = newton_polygon(A, v)
-    points = [(i, v.val(A.coeffs[i])) for i in A.support()]
+    points = [(i, v.val(c)) for i, c in enumerate(A.coeffs) if c]
     xs = [i for i, _ in points]
     ys = [w for _, w in points]
     x_lo, x_hi = 0, max(max(xs), 1)
@@ -178,20 +177,21 @@ def _cmd_newton(args) -> int:
 
 def _act_digits(A: FormalPoly, g: Mat2) -> int:
     """An upper bound on the digits of each numerator and denominator of
-    act(A, g), in O(n): poly._substitute gives N / (D lam^n) with
-    |N| <= (n+1) max|D a_i| M^n, M the larger row sum of |lam g|."""
-    (D, alpha), (lam, (a, b, c, d)) = _integer_form(A.coeffs), _integer_form(g.entries())
-    M, n = max(abs(a) + abs(b), abs(c) + abs(d), lam), len(alpha) - 1
-    bits = (n + 1).bit_length() + max(D, *map(abs, alpha)).bit_length() + n * M.bit_length()
+    act(A, g), in O(n): poly._substitute gives N / (A.den lam^n) with
+    |N| <= (n+1) max|A.nums| M^n, M the larger row sum of |lam g|."""
+    lam = math.lcm(*(x.denominator for x in g.entries()))
+    a, b, c, d = (x.numerator * (lam // x.denominator) for x in g.entries())
+    M, n = max(abs(a) + abs(b), abs(c) + abs(d), lam), A.formal_degree
+    bits = (n + 1).bit_length() + max(A.den, *map(abs, A.nums)).bit_length() + n * M.bit_length()
     return bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
 
 
 def _cmd_act(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     g = parse_matrix(args.matrix)
-    if (digits := _act_digits(A, g)) > MAX_ACT_DIGITS:
+    if (digits := _act_digits(A, g)) > MAX_DIGITS:
         raise ValueError(
-            f"input too large: a result coefficient may have {digits} digits, over {MAX_ACT_DIGITS}"
+            f"input too large: a result coefficient may have {digits} digits, over {MAX_DIGITS}"
         )
     B = act(A, g)
     print(f"{format_poly(B)} (formal degree {B.formal_degree})")
@@ -246,9 +246,16 @@ def _cmd_dumas(args) -> int:
     return 0 if ok else 1
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, refused past MAX_DIGITS digits with a message of ours."""
+    if (size := len(text.lstrip("-"))) > MAX_DIGITS:
+        raise ValueError(f"JSON integer of {size} digits exceeds the limit {MAX_DIGITS}")
+    return int(text)
+
+
 def _cmd_verify(args) -> int:
     with open(args.json) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_json_int)
     ok, reason = validate_certificate_json(data)
     print(f"{'valid' if ok else 'INVALID'}: {reason}")
     return 0 if ok else 1

@@ -35,8 +35,8 @@ Rational = Fraction
 
 # Deterministic Miller-Rabin witness set: the first 13 primes prove primality
 # for all n < 3.3 * 10**24 (Sorenson & Webster; the first 12 stop at
-# 318665857834031151167461); beyond that the same bases give a strong
-# probable-prime test, which is ample at the scales factor() targets.
+# 318665857834031151167461).  psi_13 itself passes all 13 bases, so from there
+# on a strong Lucas test is added, which makes the test BPSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981  # psi_13, the exact bound above
 
@@ -55,8 +55,65 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _halve(x: int, n: int) -> int:
+    """x / 2 mod odd n."""
+    x %= n
+    return (x + n if x % 2 else x) // 2
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 that is not a square,
+    with Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    Jacobi symbol (D/n) = -1, P = 1, Q = (1 - D)/4.  With n + 1 = d 2^s, n
+    passes if U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D shares a factor with n, and |D| is far below n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1, along the bits of d (P = 1):
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, U_(k+1) = (U_k + V_k) / 2 and
+    # V_(k+1) = (D U_k + V_k) / 2.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _halve(U + V, n), _halve(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below 3.3e24."""
+    """Miller-Rabin primality test with the first 13 prime bases, which is a
+    proof below psi_13 ~ 3.3e24; from psi_13 on a strong Lucas test is added
+    (BPSW: Baillie & Wagstaff, Math. Comp. 1980), with no known
+    counterexample."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -77,7 +134,9 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    if n < _MR_PROVEN_BELOW:
+        return True
+    return math.isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
 def _primes_below(limit: int) -> list[int]:

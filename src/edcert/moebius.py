@@ -13,11 +13,12 @@ what makes this a genuine right action on formal-degree-n polynomials.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rational
-from .poly import FormalPoly, _coerce, _substitute
+from .poly import FormalPoly, _substitute
 
 
 class MatrixShape(enum.Enum):
@@ -46,7 +47,8 @@ class Mat2:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _coerce(getattr(self, name)))
+            if not isinstance(x := getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(operator.index(x)))
         if self.det == 0:
             raise ValueError("matrix is singular")
 
@@ -107,10 +109,10 @@ def act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
 
     The substitution (x, y) -> (ax+b, cx+d) into the binary form
-    sum a_i x^i y^(n-i), on integers: the denominators of A and of g are
-    cleared once, Horner's rule on the binary form builds the integer result
-    in O(n^2) integer operations, and one division per coefficient gives the
-    Fractions (see poly._substitute).  FormalPoly.taylor_shift is the same
-    computation for the shear [[1, t], [0, 1]].
+    sum a_i x^i y^(n-i), on integers: Horner's rule on the binary form runs
+    on A.nums and the entries of g with their denominators cleared, in O(n^2)
+    integer operations, and the result's (den, nums) is reduced by one gcd
+    (see poly._substitute).  FormalPoly.taylor_shift is the same computation
+    for the shear [[1, t], [0, 1]].
     """
     return _substitute(A, *g.entries())

@@ -61,10 +61,12 @@ def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
 def newton_polygon(A: FormalPoly, v: PAdic) -> NewtonPolygon:
     """Lower hull of {(i, v(a_i)) : a_i != 0}, by a monotone-chain pass.
 
-    Rejects the zero polynomial (its support is empty).  Collinear interior
-    points are not vertices, so consecutive segment slopes strictly increase.
+    v(a_i) is read on integers, as v(nums_i) - v(den).  Rejects the zero
+    polynomial (its support is empty).  Collinear interior points are not
+    vertices, so consecutive segment slopes strictly increase.
     """
-    points = [(i, v.val(A.coeffs[i])) for i in A.support()]
+    vden = v.val(A.den)
+    points = [(i, v.val(x) - vden) for i, x in enumerate(A.nums) if x]
     if not points:
         raise ValueError("the zero polynomial has no Newton polygon")
     hull: list[tuple[int, int]] = []
@@ -101,21 +103,23 @@ class EDReport:
 
 
 def _ed_report(A: FormalPoly, v: PAdic, strict_interior: bool) -> EDReport:
-    n = A.formal_degree
-    a0, an = A.coeffs[0], A.coeffs[n]
-    if a0 == 0 or an == 0:
+    """The conditions read from the valuations of A.nums.  Each is v(a_i) +
+    v(den), and the common term cancels: v0 - vn in (D1) is unchanged, and
+    (D2) gains n v(den) on both sides."""
+    n, nums = A.formal_degree, A.nums
+    if nums[0] == 0 or nums[n] == 0:
         return EDReport(d0=False, d1=False, d2=False)
-    v0 = v.val(a0)
-    vn = v.val(an)
+    v0 = v.val(nums[0])
+    vn = v.val(nums[n])
     drop = v0 - vn
     d1_gcd = gcd(drop, n)
     d1 = d1_gcd == 1
     d2 = True
     failing = None
-    for i in range(n + 1):
-        if A.coeffs[i] == 0:
+    for i, x in enumerate(nums):
+        if x == 0:
             continue  # v = infinity dominates any finite bound
-        lhs = n * v.val(A.coeffs[i])
+        lhs = n * v.val(x)
         rhs = (n - i) * v0 + i * vn
         needs_strict = strict_interior and 1 <= i <= n - 1
         if not (lhs > rhs if needs_strict else lhs >= rhs):

@@ -34,16 +34,12 @@ class OracleVerdict:
 
 
 def primitive_integer_form(A: FormalPoly) -> list[int]:
-    """Clear denominators and content; leading coefficient made positive."""
+    """A.nums up to the actual degree with the content divided out; leading
+    coefficient made positive."""
     if A.is_zero:
         raise ValueError("zero polynomial has no primitive form")
-    lcm = 1
-    for c in A.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in A.coeffs[: A.actual_degree + 1]]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
+    ints = A.nums[: A.actual_degree + 1]
+    content = math.gcd(*ints)
     ints = [c // content for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]

@@ -127,6 +127,13 @@ def random_mat(rng: random.Random, bound: int = 9) -> Mat2:
             continue
 
 
+def fraction_poly(coeffs: list[Fraction]) -> FormalPoly:
+    """The FormalPoly with coefficients coeffs, built by the (den, nums)
+    constructor; an empty list raises its ValueError."""
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return FormalPoly(D, tuple(c.numerator * (D // c.denominator) for c in coeffs))
+
+
 def _reference_taylor_shift(A: FormalPoly, t: Fraction) -> FormalPoly:
     """A(x + t) by repeated synthetic division on Fractions, as
     FormalPoly.taylor_shift computed it before the integer kernel."""
@@ -135,7 +142,7 @@ def _reference_taylor_shift(A: FormalPoly, t: Fraction) -> FormalPoly:
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
             out[k] += t * out[k + 1]
-    return FormalPoly(tuple(out))
+    return fraction_poly(out)
 
 
 def reference_act(A: FormalPoly, g: Mat2) -> FormalPoly:
@@ -525,7 +532,7 @@ def reference_parse_poly(text: str, formal_degree: int | None = None) -> FormalP
                 f"formal degree override {formal_degree} is below the actual degree {actual}"
             )
         n = formal_degree
-    return FormalPoly(tuple(terms.get(k, Fraction(0)) for k in range(n + 1)))
+    return fraction_poly([terms.get(k, Fraction(0)) for k in range(n + 1)])
 
 
 def reference_validate_certificate_json(data: object) -> tuple[bool, str]:
@@ -566,7 +573,7 @@ def reference_validate_certificate_json(data: object) -> tuple[bool, str]:
         if not (isinstance(transform, list) and isinstance(coeffs, list)):
             raise TypeError("transform and witness_coeffs must be lists of strings")
         g = Mat2(*map(parse_rational, transform))
-        witness = FormalPoly(tuple(map(parse_rational, coeffs)))
+        witness = fraction_poly(list(map(parse_rational, coeffs)))
         report = data["report"]
         if not isinstance(report, dict):
             raise TypeError("report must be a JSON object")

@@ -69,6 +69,19 @@ def test_checker_rejects_what_a_broken_action_kernel_certifies(monkeypatch):
         assert not ok and reason == "witness does not equal act(input, transform)", A
 
 
+def test_checker_rejects_a_certificate_naming_psi13():
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin with all 13
+    # bases.  x^3 + psi_13 is Eisenstein at both factors, so only the
+    # primality of the stated prime tells the two certificates apart.
+    psi13 = 3317044064679887385961981
+    cert = certify_search(parse_poly(f"x^3+{psi13}"))
+    assert cert.irreducible and (cert.prime, cert.stage) == (1287836182261, 1)
+    data = certificate_to_json(cert)
+    assert validate_certificate_json(data) == (True, "witness is Eisenstein-Dumas at p = 1287836182261")
+    data["prime"] = str(psi13)
+    assert validate_certificate_json(data) == (False, f"malformed certificate: {psi13} is not prime")
+
+
 def _conjugate_certificate(rng: random.Random) -> Certificate:
     """Certificate of B = E h for E Eisenstein-Dumas at p and h with four
     nonzero entries: transform h^-1, witness E."""

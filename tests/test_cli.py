@@ -8,8 +8,8 @@ import pytest
 
 from edcert import FormalPoly, Mat2, act
 from edcert.cli import (
-    MAX_ACT_DIGITS,
     MAX_DEGREE,
+    MAX_DIGITS,
     PolyParseError,
     certificate_to_json,
     format_poly,
@@ -271,7 +271,21 @@ def test_act_refuses_a_result_too_long_to_print_at_once(text, capsys):
     assert main(["act", "--poly", text, "--matrix", "9" * 4000 + ",1;0,1"]) == 2
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: input too large") and f"over {MAX_ACT_DIGITS}" in err, err
+    assert err.startswith("error: input too large") and f"over {MAX_DIGITS}" in err, err
+
+
+@pytest.mark.parametrize(
+    "poly_text, matrix",
+    [("7" * 5000 + "x+1", "1,0;0,1"), ("x+1", "1,0;0," + "7" * 5000)],
+    ids=["coefficient", "matrix-entry"],
+)
+def test_act_refuses_a_literal_over_the_digit_limit(poly_text, matrix, capsys):
+    # Reading such a literal with int() raised the interpreter's own message.
+    assert main(["act", "--poly", poly_text, "--matrix", matrix]) == 2
+    err = capsys.readouterr().err
+    assert f"integer of 5000 digits exceeds the limit {MAX_DIGITS} (at position " in err, err
+    assert "int_max_str_digits" not in err
+    assert parse_poly("7" * MAX_DIGITS + "x+1").nums[1] == int("7" * MAX_DIGITS)
 
 
 def test_act_prints_a_long_result_within_the_limit(capsys):
@@ -311,6 +325,14 @@ def test_verify_rejects_a_hostile_formal_degree_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     out = capsys.readouterr().out
     assert out.startswith("INVALID: malformed certificate") and "exceeds the limit" in out
+
+
+def test_verify_refuses_a_json_integer_over_the_digit_limit(tmp_path, capsys):
+    text = json.dumps(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    path = tmp_path / "cert.json"
+    path.write_text(text.replace('"formal_degree": 2', '"formal_degree": ' + "7" * 5000))
+    assert main(["verify", "--json", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: JSON integer of 5000 digits exceeds the limit {MAX_DIGITS}\n"
 
 
 def test_no_command_prints_help(capsys):
@@ -398,6 +420,8 @@ def test_verify_command(tmp_path, capsys):
         lambda data: {**data, "witness_coeffs": "841"},
         lambda data: {**data, "witness_coeffs": {"8": 0, "4": 0, "1": 0}},
         lambda data: {**data, "transform": ["1e3", "0", "0", "1"]},
+        lambda data: {**data, "witness_coeffs": ["7" * 5000, "4", "1"]},
+        lambda data: {**data, "prime": "7" * 5000},
     ],
     ids=[
         "list",
@@ -418,12 +442,14 @@ def test_verify_command(tmp_path, capsys):
         "string-coeffs",
         "dict-coeffs",
         "exponent-transform-entry",
+        "long-witness-coeff",
+        "long-prime",
     ],
 )
 def test_verify_rejects_malformed_certificates(mutate, tmp_path, capsys):
     data = mutate(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
     ok, reason = validate_certificate_json(data)
-    assert not ok and "malformed" in reason
+    assert not ok and "malformed" in reason and "int_max_str_digits" not in reason
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--json", str(path)]) == 1

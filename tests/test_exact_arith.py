@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -165,6 +166,28 @@ def test_strong_pseudoprime_to_first_twelve_prime_bases_is_rejected():
         PAdic(psi12)
     fz = factor(psi12)
     assert fz.complete and fz.as_dict() == {p: 1, q: 1}
+
+
+def test_strong_pseudoprime_to_all_thirteen_prime_bases_is_rejected():
+    # psi_13 fools Miller-Rabin with the bases 2..41; the strong Lucas test
+    # that completes BPSW catches it.
+    p, q = 1287836182261, 2575672364521
+    psi13 = 3317044064679887385961981
+    assert p * q == psi13 == exact_arith._MR_PROVEN_BELOW
+    assert not is_probable_prime(psi13)
+    assert all(is_probable_prime(2**k - 1) for k in (89, 107, 127))
+    fz = factor(2 * psi13)
+    assert fz.complete and fz.as_dict() == {2: 1, p: 1, q: 1}
+
+
+def test_strong_lucas_test_fails_only_at_its_known_pseudoprimes():
+    # The strong Lucas pseudoprimes (Selfridge's parameters) below 26000,
+    # OEIS A217255; at every other odd non-square the test is a primality test.
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199}
+    for n in range(43, 26000, 2):
+        if math.isqrt(n) ** 2 != n:
+            prime = all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+            assert exact_arith._strong_lucas(n) == (prime or n in pseudoprimes), n
 
 
 def test_rational_normalization():

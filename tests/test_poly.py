@@ -1,10 +1,13 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edcert import FormalPoly
+from edcert import FormalPoly, act
+from helpers import _reference_taylor_shift, nonzero_fraction, random_mat, reference_act
 
 PHI5 = FormalPoly.from_coeffs([1, 1, 1, 1, 1])
 
@@ -23,7 +26,14 @@ def test_construction_and_formal_degree():
     with pytest.raises(ValueError):
         FormalPoly.from_coeffs([1, 2, 3], formal_degree=1)
     with pytest.raises(ValueError):
-        FormalPoly(())
+        FormalPoly(1, ())
+    with pytest.raises(ValueError):
+        FormalPoly(0, (1,))
+    # the stored form is canonical, so equal polynomials have equal fields
+    half = Fraction(1, 2)
+    assert FormalPoly(-4, (2, 6, 0)) == FormalPoly(2, (-1, -3, 0)) == poly(-half, -3 * half, 0)
+    assert FormalPoly(-4, (2, 6, 0)).nums == (-1, -3, 0)
+    assert FormalPoly(5, (0, 0)) == FormalPoly.zero(1) and FormalPoly.zero(1).den == 1
 
 
 def test_add():
@@ -105,6 +115,36 @@ def test_scalings():
         A.scale_arg(0)
     with pytest.raises(ValueError):
         A.scale_all(Fraction(0))
+
+
+def test_every_kernel_returns_the_canonical_form():
+    # Each result has den > 0 and gcd(den, *nums) == 1, and its coeffs equal
+    # the same operation done on Fractions.
+    rng = random.Random(1109)
+
+    def fractions(n):
+        return [nonzero_fraction(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n + 1)]
+
+    for _ in range(300):
+        a, b = fractions(rng.randint(0, 6)), fractions(rng.randint(0, 6))
+        A, B = FormalPoly.from_coeffs(a), FormalPoly.from_coeffs(b)
+        t, g = nonzero_fraction(rng), random_mat(rng)
+        product = [0] * (len(a) + len(b) - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            product[i + j] += x * y
+        cases = [
+            (act(A, g), reference_act(A, g).coeffs),
+            (A.taylor_shift(t), _reference_taylor_shift(A, t).coeffs),
+            (A.derivative(), [i * c for i, c in enumerate(a)][1:] or [0]),
+            (A.reverse(), a[::-1]),
+            (A.mul(B), product),
+            (A.add(B), [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]),
+            (A.scale_arg(t), [c * t**i for i, c in enumerate(a)]),
+            (A.scale_all(t), [c * t for c in a]),
+        ]
+        for R, expected in cases:
+            assert R.den > 0 and math.gcd(R.den, *R.nums) == 1, R
+            assert R.coeffs == tuple(expected), (A, B, t, g)
 
 
 small_coeffs = st.lists(
