@@ -20,15 +20,14 @@ from .certify import (
     phi,
     upper_transform,
 )
-from .exact_arith import Factorization, Rational, factor, gcd, is_probable_prime
-from .moebius import Mat2, MatrixShape, act
+from .exact_arith import Factorization, Rational, factor, is_probable_prime
+from .moebius import Mat2, act
 from .newton_ed import (
     EDReport,
     NewtonPolygon,
     Segment,
     dumas_concat_holds,
     is_ed,
-    is_ed_strict,
     newton_polygon,
 )
 from .poly import FormalPoly
@@ -44,7 +43,6 @@ __all__ = [
     "Factorization",
     "FormalPoly",
     "Mat2",
-    "MatrixShape",
     "NewtonPolygon",
     "PAdic",
     "Rational",
@@ -58,9 +56,7 @@ __all__ = [
     "default_t_grid",
     "dumas_concat_holds",
     "factor",
-    "gcd",
     "is_ed",
-    "is_ed_strict",
     "is_probable_prime",
     "lower_transform",
     "newton_polygon",

@@ -31,10 +31,12 @@ computed once per grid point, and only members passing both are built.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor, gcd
+from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly
@@ -134,10 +136,12 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     )
 
 
-def default_t_grid(height: int = 8) -> tuple[Fraction, ...]:
-    """All reduced rationals a/b with |a| <= height, 1 <= b <= height,
-    ordered by height max(|a|, b) and then by value."""
-    grid = {Fraction(a, b) for b in range(1, height + 1) for a in range(-height, height + 1)}
+@functools.cache
+def default_t_grid() -> tuple[Fraction, ...]:
+    """All reduced rationals a/b with |a| <= 8, 1 <= b <= 8, ordered by
+    height max(|a|, b) and then by value: the stage-4 grid, built on the
+    first call and shared by every later search."""
+    grid = {Fraction(a, b) for b in range(1, 9) for a in range(-8, 9)}
     return tuple(sorted(grid, key=lambda q: (max(abs(q.numerator), q.denominator), q)))
 
 
@@ -215,7 +219,7 @@ def _failure_reason(report: EDReport) -> str:
 
 def _endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
     """(D0) and (D1) at vp for a degree-n polynomial with endpoints b0, bn."""
-    return b0 != 0 and bn != 0 and gcd(vp.val(b0) - vp.val(bn), n) == 1
+    return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
 
 
 def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certificate:

@@ -2,10 +2,10 @@
 
 The subcommands only read arguments, call the library and print.  The text
 grammar of --poly, --matrix and the certificate rationals, the certificate
-JSON format and its checker live in edcert.certificate; the names this module
-has always offered (parse_poly, parse_rational, certificate_to_json,
-validate_certificate_json, PolyParseError, MAX_DEGREE, MAX_DIGITS) are
-re-exported here.
+JSON format and its checker live in edcert.certificate, and the grammar's
+names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from there;
+parse_poly and parse_rational wrap its readers in a FormalPoly and a Fraction.
+ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
 
 The optional EDCERT_RHO_BUDGET environment variable caps the factoring
 effort of certify; it must be a positive integer in ASCII digits.
@@ -24,9 +24,7 @@ import sys
 from fractions import Fraction
 
 from .certificate import (
-    MAX_DEGREE,
     MAX_DIGITS,
-    PolyParseError,
     certificate_to_json,
     format_poly,
     read_poly,
@@ -35,7 +33,7 @@ from .certificate import (
 )
 from .certify import SearchConfig, STAGE_NAMES, certify_search
 from .moebius import Mat2, act
-from .newton_ed import dumas_concat_holds, is_ed, is_ed_strict, newton_polygon
+from .newton_ed import dumas_concat_holds, is_ed, newton_polygon
 from .poly import FormalPoly
 from .valuation import PAdic
 
@@ -145,7 +143,7 @@ def _report_lines(report) -> list[str]:
 def _cmd_ed_check(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     v = PAdic(args.prime)
-    report = (is_ed_strict if args.strict else is_ed)(A, v)
+    report = is_ed(A, v)
     print(f"polynomial: {format_poly(A)} (formal degree {A.formal_degree})")
     print(f"prime: {v.p}")
     for line in _report_lines(report):
@@ -255,7 +253,10 @@ def _json_int(text: str) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.json) as fh:
-        data = json.load(fh, parse_int=_json_int)
+        try:
+            data = json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
     ok, reason = validate_certificate_json(data)
     print(f"{'valid' if ok else 'INVALID'}: {reason}")
     return 0 if ok else 1
@@ -284,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ed-check", help="test the Eisenstein-Dumas conditions at one prime")
     poly_arg(p)
     p.add_argument("--prime", required=True, type=int)
-    p.add_argument("--strict", action="store_true", help="use the strict interior bound")
     p.set_defaults(fn=_cmd_ed_check)
 
     p = sub.add_parser("newton", help="print (and optionally plot) the Newton polygon")

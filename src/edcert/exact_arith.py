@@ -40,7 +40,7 @@ Rational = Fraction
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981  # psi_13, the exact bound above
 
-DEFAULT_TRIAL_BOUND = 10**6
+TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 500_000
 
 _SEGMENT_WIDTH = 4096
@@ -48,11 +48,6 @@ _SEGMENT_WIDTH = 4096
 # Extended without a lock: two threads extending it at once can append a
 # range twice, which factor() walks through again without effect.
 _SEGMENTS: list[tuple[int, int, int]] = []
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -216,26 +211,12 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def product(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-
-def factor(
-    n: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> Factorization:
+def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """Factor |n| into primes under a bounded effort budget.
 
     Trial division walks the segment table (see the module docstring) up to
-    trial_bound, extending it when it runs out, and stops at the first range
+    TRIAL_BOUND, extending it when it runs out, and stops at the first range
     starting above the square root of what is left.  A range whose product
     shares a factor with n is stripped in ascending order; its composites
     never divide, because their prime factors lie below the range and are
@@ -252,14 +233,14 @@ def factor(
 
     lo = 2
     for i in itertools.count():
-        if lo > trial_bound or lo * lo > n:
+        if lo > TRIAL_BOUND or lo * lo > n:
             break
         if i == len(_SEGMENTS):
             _extend_segments()
         lo, hi, product = _SEGMENTS[i]
         g = math.gcd(n, product)
         check_prime = i == 0 or g > 1
-        for d in range(lo, min(hi, trial_bound + 1)):
+        for d in range(lo, min(hi, TRIAL_BOUND + 1)):
             if g == 1 or d * d > n:
                 break
             if g % d == 0:
@@ -274,7 +255,7 @@ def factor(
 
     leftover = 1
     if n > 1:
-        if n < (max(trial_bound, 1) + 1) ** 2:
+        if n < (TRIAL_BOUND + 1) ** 2:
             # n has no prime factor up to min(bound, sqrt(n)), and with
             # n < (bound + 1)^2 that minimum is sqrt(n): n is prime.
             found[n] = found.get(n, 0) + 1

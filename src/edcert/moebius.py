@@ -12,28 +12,12 @@ what makes this a genuine right action on formal-degree-n polynomials.
 
 from __future__ import annotations
 
-import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rational
 from .poly import FormalPoly, _substitute
-
-
-class MatrixShape(enum.Enum):
-    """Zero-pattern classification of a nonsingular 2x2 matrix.
-
-    The four degenerate shapes are the matrices with a vanishing entry:
-    upper/lower triangular and their compositions with the coordinate swap.
-    A matrix with all four entries nonzero is FULL.
-    """
-
-    UPPER = "upper"
-    LOWER = "lower"
-    UPPER_SWAP = "upper-swap"
-    LOWER_SWAP = "lower-swap"
-    FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -87,22 +71,6 @@ class Mat2:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
-
-    def shape(self) -> MatrixShape:
-        """Which of the degenerate zero patterns (if any) this matrix has.
-
-        Checked in the order upper, lower, upper-swap, lower-swap, so a
-        diagonal matrix reports UPPER and an antidiagonal one UPPER_SWAP.
-        """
-        if self.c == 0:
-            return MatrixShape.UPPER
-        if self.b == 0:
-            return MatrixShape.LOWER
-        if self.d == 0:
-            return MatrixShape.UPPER_SWAP
-        if self.a == 0:
-            return MatrixShape.LOWER_SWAP
-        return MatrixShape.FULL
 
 
 def act(A: FormalPoly, g: Mat2) -> FormalPoly:

@@ -13,16 +13,17 @@ criterion:
     (D2)  n*v(a_i) >= (n-i)*v(a_0) + i*v(a_n)   for 0 <= i <= n,
 
 with n the formal degree throughout.  Given (D0) and (D1), the bound (D2)
-can equivalently be required strict at the interior indices 1..n-1; both
-forms are implemented and must agree.
+is equivalent to its strict form at the interior indices 1..n-1 (no interior
+support point can lie on the segment); only the non-strict bound is
+implemented, and the tests check it against the strict form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import gcd
 from .poly import FormalPoly
 from .valuation import PAdic
 
@@ -102,41 +103,27 @@ class EDReport:
         return self.d0 and self.d1 and self.d2
 
 
-def _ed_report(A: FormalPoly, v: PAdic, strict_interior: bool) -> EDReport:
-    """The conditions read from the valuations of A.nums.  Each is v(a_i) +
+def is_ed(A: FormalPoly, v: PAdic) -> EDReport:
+    """Eisenstein-Dumas test (D0), (D1), (D2) at the formal degree of A.
+
+    The conditions are read from the valuations of A.nums.  Each is v(a_i) +
     v(den), and the common term cancels: v0 - vn in (D1) is unchanged, and
-    (D2) gains n v(den) on both sides."""
+    (D2) gains n v(den) on both sides.
+    """
     n, nums = A.formal_degree, A.nums
     if nums[0] == 0 or nums[n] == 0:
         return EDReport(d0=False, d1=False, d2=False)
     v0 = v.val(nums[0])
     vn = v.val(nums[n])
-    drop = v0 - vn
-    d1_gcd = gcd(drop, n)
-    d1 = d1_gcd == 1
-    d2 = True
+    d1_gcd = math.gcd(v0 - vn, n)
     failing = None
     for i, x in enumerate(nums):
-        if x == 0:
-            continue  # v = infinity dominates any finite bound
-        lhs = n * v.val(x)
-        rhs = (n - i) * v0 + i * vn
-        needs_strict = strict_interior and 1 <= i <= n - 1
-        if not (lhs > rhs if needs_strict else lhs >= rhs):
-            d2 = False
+        if x and n * v.val(x) < (n - i) * v0 + i * vn:  # v(0) = infinity passes
             failing = i
             break
-    return EDReport(d0=True, d1=d1, d2=d2, d1_gcd=d1_gcd, d2_failing_index=failing)
-
-
-def is_ed(A: FormalPoly, v: PAdic) -> EDReport:
-    """Eisenstein-Dumas test (D0), (D1), (D2) at the formal degree of A."""
-    return _ed_report(A, v, strict_interior=False)
-
-
-def is_ed_strict(A: FormalPoly, v: PAdic) -> EDReport:
-    """Variant with the bound strict at interior indices; same verdict as is_ed."""
-    return _ed_report(A, v, strict_interior=True)
+    return EDReport(
+        d0=True, d1=d1_gcd == 1, d2=failing is None, d1_gcd=d1_gcd, d2_failing_index=failing
+    )
 
 
 def dumas_concat_holds(A: FormalPoly, B: FormalPoly, v: PAdic) -> bool:

@@ -18,7 +18,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable
 
 from .exact_arith import Rational
@@ -114,25 +113,6 @@ class FormalPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, other: "FormalPoly") -> "FormalPoly":
-        """Coefficientwise sum at formal degree max(n_A, n_B)."""
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
-        return FormalPoly(den, tuple(x * s + y * t for x, y in pairs))
-
-    __add__ = add
-
-    def neg(self) -> "FormalPoly":
-        return FormalPoly(self.den, tuple(-x for x in self.nums))
-
-    __neg__ = neg
-
-    def sub(self, other: "FormalPoly") -> "FormalPoly":
-        return self.add(other.neg())
-
-    __sub__ = sub
-
     def mul(self, other: "FormalPoly") -> "FormalPoly":
         """Convolution product at formal degree n_A + n_B."""
         out = [0] * (len(self.nums) + len(other.nums) - 1)
@@ -158,8 +138,6 @@ class FormalPoly:
             acc = acc * p + ai * qpow
             qpow *= q
         return Fraction(acc, self.den * (qpow // q))
-
-    __call__ = eval
 
     def derivative(self) -> "FormalPoly":
         """Formal derivative at formal degree n-1 (constants drop to degree 0)."""

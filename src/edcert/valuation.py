@@ -50,14 +50,3 @@ class PAdic:
         if isinstance(q, int):
             return _int_val(q, self.p)
         return _int_val(q.numerator, self.p) - _int_val(q.denominator, self.p)
-
-    __call__ = val
-
-    @property
-    def residue_char(self) -> int:
-        """Characteristic of the residue field (the field with p elements)."""
-        return self.p
-
-    def divides(self, n: int) -> bool:
-        """Whether the residue characteristic divides n."""
-        return n % self.p == 0

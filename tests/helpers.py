@@ -23,14 +23,14 @@ from edcert import (
     candidate_primes,
     default_t_grid,
     factor,
-    gcd,
     is_ed,
     lower_transform,
     upper_transform,
 )
 from edcert.certify import _failure_reason
-from edcert.cli import MAX_DEGREE, PolyParseError, parse_poly, parse_rational
-from edcert.exact_arith import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, is_probable_prime
+from edcert.certificate import MAX_DEGREE, PolyParseError
+from edcert.cli import parse_poly, parse_rational
+from edcert.exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, is_probable_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -86,6 +86,19 @@ def random_p_content_poly(
     if cs[-1] == 0:
         cs[-1] = p ** rng.randint(0, max_val)
     return FormalPoly.from_coeffs(cs)
+
+
+def reference_is_ed_strict(A: FormalPoly, v: PAdic) -> bool:
+    """The Eisenstein-Dumas verdict with (D2) strict at the interior indices
+    1..n-1, the form equivalent to is_ed's non-strict bound given (D0) and
+    (D1); read from the Fractions a_i, not from the integer form is_ed reads."""
+    a, n = A.coeffs, A.formal_degree
+    if a[0] == 0 or a[n] == 0:
+        return False
+    v0, vn = v.val(a[0]), v.val(a[n])
+    return math.gcd(v0 - vn, n) == 1 and all(
+        n * v.val(a[i]) > (n - i) * v0 + i * vn for i in range(1, n) if a[i] != 0
+    )
 
 
 def random_dense_mat(rng: random.Random, bound: int = 9) -> Mat2:
@@ -194,9 +207,7 @@ def _reference_brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, 
     return 0, used
 
 
-def reference_factor(
-    n: int, *, trial_bound: int = DEFAULT_TRIAL_BOUND, rho_budget: int = DEFAULT_RHO_BUDGET
-) -> Factorization:
+def reference_factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """factor() as it was before trial division moved to blocks of sieved
     primes: division by 2 and every odd number up to the bound, then the
     rho stage above.  The differential tests compare factor() against it."""
@@ -206,7 +217,7 @@ def reference_factor(
     found: dict[int, int] = {}
 
     d = 2
-    while d <= trial_bound and d * d <= n:
+    while d <= TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             found[d] = found.get(d, 0) + 1
             n //= d
@@ -276,7 +287,7 @@ def random_ed_polynomial(
     while True:
         v0 = rng.randint(0, max_endpoint_val)
         vn = rng.randint(0, max_endpoint_val)
-        if gcd(v0 - vn, n) == 1:
+        if math.gcd(v0 - vn, n) == 1:
             break
 
     def unit() -> int:
@@ -332,7 +343,7 @@ def reference_candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_B
     return CandidatePrimes(frozenset(primes), complete)
 
 
-_REFERENCE_GRID = default_t_grid(8)
+_REFERENCE_GRID = default_t_grid()
 
 
 def reference_certify_search(A: FormalPoly) -> Certificate:
@@ -362,7 +373,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
         )
 
     def endpoints_pass(b0, bn, vp):
-        return b0 != 0 and bn != 0 and gcd(vp.val(b0) - vp.val(bn), n) == 1
+        return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
 
     for p in sorted(cand.primes):
         vp = padic(p)

@@ -198,8 +198,9 @@ def test_search_builds_the_upper_transform_only_when_stage_two_runs(monkeypatch)
 
 
 def test_default_t_grid():
-    grid = default_t_grid(2)
-    assert grid == (
+    grid = default_t_grid()
+    # the points of height 1 and then of height 2, each by value
+    assert grid[:7] == (
         Fraction(-1),
         Fraction(0),
         Fraction(1),
@@ -208,9 +209,9 @@ def test_default_t_grid():
         Fraction(1, 2),
         Fraction(2),
     )
-    full = default_t_grid(8)
-    assert len(full) == len(set(full))
-    assert all(abs(q.numerator) <= 8 and q.denominator <= 8 for q in full)
+    assert len(grid) == len(set(grid)) == 87
+    assert all(abs(q.numerator) <= 8 and q.denominator <= 8 for q in grid)
+    assert default_t_grid() is grid  # built once per process
 
 
 def test_certify_footnote_example():

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 
 from edcert import FormalPoly, Mat2, act
+from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError
 from edcert.cli import (
-    MAX_DEGREE,
-    MAX_DIGITS,
-    PolyParseError,
     certificate_to_json,
     format_poly,
     main,
@@ -183,7 +181,9 @@ def test_ed_check_command(capsys):
     assert main(["ed-check", "--poly", "x^2+4", "--prime", "2"]) == 1
     out = capsys.readouterr().out
     assert "D1: FAIL (gcd = 2)" in out
-    assert main(["ed-check", "--poly", "x^2+4x+8", "--prime", "2", "--strict"]) == 0
+    with pytest.raises(SystemExit) as exc:  # the strict form is not an option
+        main(["ed-check", "--poly", "x^2+4x+8", "--prime", "2", "--strict"])
+    assert exc.value.code == 2
 
 
 def test_newton_command(capsys):
@@ -333,6 +333,20 @@ def test_verify_refuses_a_json_integer_over_the_digit_limit(tmp_path, capsys):
     path.write_text(text.replace('"formal_degree": 2', '"formal_degree": ' + "7" * 5000))
     assert main(["verify", "--json", str(path)]) == 2
     assert capsys.readouterr().err == f"error: JSON integer of 5000 digits exceeds the limit {MAX_DIGITS}\n"
+
+
+def test_verify_refuses_deeply_nested_json(tmp_path, capsys):
+    # The decoder gives up on deep nesting with a RecursionError; verify
+    # reports it as an input error, whether the nesting is the whole file or
+    # sits inside a valid certificate.
+    deep = "[" * 100_000 + "]" * 100_000
+    text = json.dumps(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    assert '"audit": []' in text
+    for content in (deep, text.replace('"audit": []', '"audit": ' + deep)):
+        path = tmp_path / "cert.json"
+        path.write_text(content)
+        assert main(["verify", "--json", str(path)]) == 2
+        assert capsys.readouterr().err == "error: certificate JSON is nested too deeply\n"
 
 
 def test_no_command_prints_help(capsys):

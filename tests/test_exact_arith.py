@@ -5,24 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edcert import Factorization, PAdic, Rational, exact_arith, factor, gcd, is_probable_prime
+from edcert import Factorization, PAdic, Rational, exact_arith, factor, is_probable_prime
 from helpers import reference_factor
 
 
-def test_gcd_examples():
-    assert gcd(12, 8) == 4
-    assert gcd(0, 7) == 7
-    assert gcd(0, -7) == 7
-    assert gcd(0, 0) == 0
-    assert gcd(205, 4) == 1  # shows up when certifying the 5th cyclotomic
-
-
 def test_factor_examples():
-    assert factor(12).as_dict() == {2: 2, 3: 1}
-    assert factor(-9).as_dict() == {3: 2}
-    assert factor(205).as_dict() == {5: 1, 41: 1}
+    assert factor(12).factors == ((2, 2), (3, 1))
+    assert factor(-9).factors == ((3, 2),)
+    assert factor(205).factors == ((5, 1), (41, 1))
     assert factor(1) == Factorization(())
-    assert factor(2).as_dict() == {2: 1}
+    assert factor(2).factors == ((2, 1),)
 
 
 def test_factor_zero_rejected():
@@ -33,9 +25,9 @@ def test_factor_zero_rejected():
 def test_factor_large_prime_and_semiprime():
     p = 1000000007
     fz = factor(p)
-    assert fz.complete and fz.as_dict() == {p: 1}
+    assert fz.complete and fz.factors == ((p, 1),)
     fz = factor(p * p * 6)
-    assert fz.complete and fz.as_dict() == {2: 1, 3: 1, p: 2}
+    assert fz.complete and fz.factors == ((2, 1), (3, 1), (p, 2))
 
 
 def test_factor_incomplete_is_flagged_and_consistent():
@@ -44,7 +36,7 @@ def test_factor_incomplete_is_flagged_and_consistent():
     b = 5991810554633396517767024967580894321153
     fz = factor(a * b, rho_budget=50)
     assert not fz.complete
-    assert fz.product() == a * b
+    assert fz.cofactor * math.prod(p**e for p, e in fz.factors) == a * b
 
 
 def _prime_at_or_below(n):
@@ -87,23 +79,45 @@ _PROVEN_PRIME_EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("trial_bound", [1, 2, 3, 100, 4095, 4096, 4097, 10**6])
-def test_factor_matches_reference(trial_bound):
+# Products of the primes on both sides of the ends of sieved ranges (4096,
+# 8192, 12288 and the range that holds the trial bound 10^6, [999424,
+# 1003520)), and of the primes next to the bound itself.
+_SEGMENT_EDGE_CASES = [
+    4093 * 4099,
+    4093**2 * 4099,
+    8191 * 8209,
+    12281 * 12289,
+    999389 * 999431,
+    2 * 999431 * 1003517,
+    1003517 * 1003543,
+    999983,
+    1000003,
+    999983**2,
+    999983 * 1000003,
+    1000003**2,
+    999983 * 1000003 * 1000033,
+    -(2**4) * 1000003,
+]
+
+
+@pytest.mark.parametrize("edge", [1, 2, 3, 100, 4095, 4096, 4097, 10**6])
+def test_factor_matches_reference(edge):
     # Trial division by sieved prime blocks must leave the same cofactor to
-    # the same rho stage as division by every odd number did.
-    rng = random.Random(trial_bound)
-    below = _prime_at_or_below(max(trial_bound, 2))
-    above = _prime_above(trial_bound)
+    # the same rho stage as division by every odd number did.  Each case
+    # draws its factors on both sides of one point: the first primes, the
+    # end of the first sieved range, and the trial bound.
+    rng = random.Random(edge)
+    below = _prime_at_or_below(max(edge, 2))
+    above = _prime_above(edge)
     inputs = [rng.randrange(1, 10 ** rng.randint(1, 40)) for _ in range(12)]
     inputs += [below**2, above**2, below * above, 6 * above**2, below**3 * 1000003]
-    # a prime just above (bound + 1)^2: no factor up to the bound, above its square
-    inputs.append(_prime_above((trial_bound + 1) ** 2))
+    # a prime just above (edge + 1)^2; at the bound, no factor up to it and above its square
+    inputs.append(_prime_above((edge + 1) ** 2))
     inputs += [1000003 * rng.randrange(1, 10**12) for _ in range(4)]
-    inputs += [1000003**2, 999983 * 1000003, -(2**4) * 1000003]
-    inputs += _PROVEN_PRIME_EDGE_CASES
+    if edge == 10**6:  # the fixed inputs, once: they do not depend on the edge
+        inputs += _PROVEN_PRIME_EDGE_CASES + _SEGMENT_EDGE_CASES
     for n in inputs:
-        kwargs = dict(trial_bound=trial_bound, rho_budget=20_000)
-        assert factor(n, **kwargs) == reference_factor(n, **kwargs), n
+        assert factor(n, rho_budget=20_000) == reference_factor(n, rho_budget=20_000), n
 
 
 class _CountingTable(list):
@@ -134,17 +148,16 @@ def test_factor_stops_at_a_proven_prime_cofactor(monkeypatch):
 def test_factor_matches_reference_when_rho_runs_out():
     a, b = 10**19 + 51, 10**20 + 39
     assert is_probable_prime(a) and is_probable_prime(b)
-    for trial_bound in (100, 10**6):
-        fz = factor(12 * a * b, trial_bound=trial_bound, rho_budget=50)
-        assert fz == reference_factor(12 * a * b, trial_bound=trial_bound, rho_budget=50)
-        assert fz.cofactor == a * b and fz.as_dict() == {2: 2, 3: 1}
+    fz = factor(12 * a * b, rho_budget=50)
+    assert fz == reference_factor(12 * a * b, rho_budget=50)
+    assert fz.cofactor == a * b and fz.factors == ((2, 2), (3, 1))
 
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factor_roundtrip(n):
     fz = factor(n)
     assert fz.complete
-    assert fz.product() == n
+    assert math.prod(p**e for p, e in fz.factors) == n
     assert all(is_probable_prime(p) for p in fz.primes)
 
 
@@ -165,7 +178,7 @@ def test_strong_pseudoprime_to_first_twelve_prime_bases_is_rejected():
     with pytest.raises(ValueError):
         PAdic(psi12)
     fz = factor(psi12)
-    assert fz.complete and fz.as_dict() == {p: 1, q: 1}
+    assert fz.complete and fz.factors == ((p, 1), (q, 1))
 
 
 def test_strong_pseudoprime_to_all_thirteen_prime_bases_is_rejected():
@@ -177,7 +190,7 @@ def test_strong_pseudoprime_to_all_thirteen_prime_bases_is_rejected():
     assert not is_probable_prime(psi13)
     assert all(is_probable_prime(2**k - 1) for k in (89, 107, 127))
     fz = factor(2 * psi13)
-    assert fz.complete and fz.as_dict() == {2: 1, p: 1, q: 1}
+    assert fz.complete and fz.factors == ((2, 1), (p, 1), (q, 1))
 
 
 def test_strong_lucas_test_fails_only_at_its_known_pseudoprimes():

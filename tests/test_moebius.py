@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import FormalPoly, Mat2, MatrixShape, act
+from edcert import FormalPoly, Mat2, act
 from helpers import (
     nonzero_fraction,
     random_dense_mat,
@@ -101,9 +101,10 @@ def test_action_matches_the_fraction_composition():
             g = random_dense_mat(rng, bound)
         else:
             g = random_shaped_mat(rng, shape, bound)
-        seen.add(g.shape())
+        seen.add(tuple(i for i, x in enumerate(g.entries()) if x == 0))
         assert [str(c) for c in act(A, g).coeffs] == [str(c) for c in reference_act(A, g).coeffs]
-    assert seen == set(MatrixShape)
+    # the zero entries of full, upper (c), lower (b), upper-swap (d), lower-swap (a)
+    assert seen == {(), (2,), (1,), (3,), (0,)}
 
 
 def test_action_matches_elementary_transforms():
@@ -139,14 +140,3 @@ def test_action_matches_substitution_by_evaluation(shape):
         for x in xs:
             y = g.c * x + g.d
             assert B.eval(x) == y**n * A.eval((g.a * x + g.b) / y)
-
-
-def test_shape_classification():
-    assert Mat2(1, 2, 0, 3).shape() is MatrixShape.UPPER
-    assert Mat2(1, 0, 2, 3).shape() is MatrixShape.LOWER
-    assert Mat2(2, 1, 3, 0).shape() is MatrixShape.UPPER_SWAP
-    assert Mat2(0, 1, 3, 2).shape() is MatrixShape.LOWER_SWAP
-    assert Mat2(1, 1, 1, 2).shape() is MatrixShape.FULL
-    # multiple zero entries resolve in documented priority order
-    assert Mat2(1, 0, 0, 1).shape() is MatrixShape.UPPER
-    assert Mat2(0, 1, 1, 0).shape() is MatrixShape.UPPER_SWAP

@@ -36,15 +36,6 @@ def test_construction_and_formal_degree():
     assert FormalPoly(5, (0, 0)) == FormalPoly.zero(1) and FormalPoly.zero(1).den == 1
 
 
-def test_add():
-    assert poly(1, 0, 1) + poly(0, 0, -1) == poly(1, 0, 0)
-    A = poly(3, 1, 4)
-    assert A + FormalPoly.zero(2) == A
-    assert poly(2, 1) + poly(4, 1) == poly(6, 2)
-    # formal degree of a sum is the max of the operands'
-    assert (poly(1, n=4) + poly(1)).formal_degree == 4
-
-
 def test_mul():
     assert poly(2, 1) * poly(4, 1) == poly(8, 6, 1)  # (x+2)(x+4), by hand
     A = poly(5, 0, 3)
@@ -62,7 +53,6 @@ def test_eval():
     expected = sum(t**i for i in range(5))
     assert expected == Fraction(205, 256)
     assert PHI5.eval(t) == expected
-    assert PHI5(t) == expected
 
 
 def test_derivative():
@@ -89,13 +79,13 @@ def test_taylor_shift_matches_binomial_expansion():
         n = rng.randint(0, 6)
         A = FormalPoly.from_coeffs([rng.randint(-9, 9) for _ in range(n + 1)])
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        expected = FormalPoly.zero(n)
+        expected = [Fraction(0)] * (n + 1)
         power = poly(1, n=0)
         for k in range(n + 1):
-            expected = expected + power.scale_all(A.coeffs[k]) if A.coeffs[k] else expected
+            for i, c in enumerate(power.coeffs):
+                expected[i] += A.coeffs[k] * c
             power = power * x_plus_t(t)
-        expected = FormalPoly.from_coeffs(expected.coeffs[: n + 1], formal_degree=n)
-        assert A.taylor_shift(t) == expected
+        assert A.taylor_shift(t) == FormalPoly.from_coeffs(expected)
 
 
 def test_reverse():
@@ -138,7 +128,6 @@ def test_every_kernel_returns_the_canonical_form():
             (A.derivative(), [i * c for i, c in enumerate(a)][1:] or [0]),
             (A.reverse(), a[::-1]),
             (A.mul(B), product),
-            (A.add(B), [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]),
             (A.scale_arg(t), [c * t**i for i, c in enumerate(a)]),
             (A.scale_all(t), [c * t for c in a]),
         ]
@@ -179,9 +168,10 @@ def test_shift_agrees_with_evaluation(coeffs, t, x):
 def test_product_rule(ca, cb):
     A, B = FormalPoly.from_coeffs(ca), FormalPoly.from_coeffs(cb)
     lhs = (A * B).derivative()
-    rhs = A.derivative() * B + A * B.derivative()
+    terms = (A.derivative() * B).coeffs, (A * B.derivative()).coeffs
+    rhs = [x + y for x, y in itertools.zip_longest(*terms, fillvalue=0)]
     # around constants the formal degrees differ by one; pad before comparing
-    m = max(lhs.formal_degree, rhs.formal_degree)
+    m = max(lhs.formal_degree, len(rhs) - 1)
     assert FormalPoly.from_coeffs(lhs.coeffs, formal_degree=m) == FormalPoly.from_coeffs(
-        rhs.coeffs, formal_degree=m
+        rhs, formal_degree=m
     )

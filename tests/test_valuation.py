@@ -16,22 +16,10 @@ def test_val_examples():
     assert PAdic(5).val(Fraction(205, 256)) == 1
 
 
-def test_residue_char():
-    assert PAdic(5).residue_char == 5
-    # degree-divisibility predicate is exactly p | n
-    assert PAdic(2).divides(2)
-    assert not PAdic(5).divides(4)
-
-
 def test_non_prime_rejected():
     for bad in (1, 0, -3, 6, 561, 2**10):
         with pytest.raises(ValueError):
             PAdic(bad)
-
-
-def test_padic_is_callable():
-    v3 = PAdic(3)
-    assert v3(Fraction(9, 2)) == 2
 
 
 nonzero_rationals = st.fractions(max_denominator=100).filter(lambda q: q != 0)
