@@ -56,6 +56,12 @@ MAX_DEGREE = 1000
 MAX_DIGITS = 4300
 
 
+def _clip(text: str) -> str:
+    """text as an error message echoes it: whole up to 50 characters, else
+    its first 20 characters and its length."""
+    return text if len(text) <= 50 else f"{text[:20]}... ({len(text)} characters)"
+
+
 class PolyParseError(ValueError):
     """Syntax error with a character position."""
 
@@ -80,12 +86,12 @@ def read_rational(text: str) -> tuple[int, int]:
     ASCII digits; a non-string raises TypeError."""
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise ValueError(f"invalid rational {text!r}: expected an integer or 'int/int'")
+        raise ValueError(f"invalid rational {_clip(repr(text))}: expected an integer or 'int/int'")
     if len(text) > MAX_DIGITS:  # only then can a digit run be too long
         _integer(m, 1), _integer(m, 2)
     num, den = int(m[1]), int(m[2] or 1)
     if den == 0:
-        raise ValueError(f"invalid rational {text!r}: zero denominator")
+        raise ValueError(f"invalid rational {_clip(repr(text))}: zero denominator")
     return num, den
 
 
@@ -114,7 +120,9 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
     carry their position, and the first in the text is the one reported.
     """
     if formal_degree is not None and formal_degree > MAX_DEGREE:
-        raise ValueError(f"formal degree {formal_degree} exceeds the limit {MAX_DEGREE}")
+        raise ValueError(
+            f"formal degree {_clip(str(formal_degree))} exceeds the limit {MAX_DEGREE}"
+        )
     pos = len(text) - len(text.lstrip())
     if pos == len(text):
         raise PolyParseError("empty polynomial", pos)
@@ -132,7 +140,9 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
         if exp is None:
             exp = 1 if m["x"] else 0
         elif exp > MAX_DEGREE:
-            raise PolyParseError(f"exponent {exp} exceeds the limit {MAX_DEGREE}", m.start("exp"))
+            raise PolyParseError(
+                f"exponent {_clip(str(exp))} exceeds the limit {MAX_DEGREE}", m.start("exp")
+            )
         num = 1 if num is None else num
         num, den = (-num if m["sign"] == "-" else num), den or 1
         if exp in terms:
@@ -145,7 +155,8 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
     actual = max((e for e, (num, _) in terms.items() if num != 0), default=0)
     if formal_degree is not None and formal_degree < actual:
         raise ValueError(
-            f"formal degree override {formal_degree} is below the actual degree {actual}"
+            f"formal degree override {_clip(str(formal_degree))} "
+            f"is below the actual degree {actual}"
         )
     n = actual if formal_degree is None else formal_degree
     coeffs = [terms.get(k, (0, 1)) for k in range(n + 1)]
@@ -158,15 +169,20 @@ def _integer_form(rationals: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return D, [num * (D // den) for num, den in rationals]
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as 'x' or 'x/d', the text of str(Fraction)."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
 def format_poly(A) -> str:
     """Grammar-compatible rendering of a FormalPoly, highest exponent first."""
     parts: list[str] = []
     for e in range(A.formal_degree, -1, -1):
-        g = math.gcd(A.nums[e], A.den)
-        num, den = A.nums[e] // g, A.den // g
+        num = A.nums[e]
         if num == 0:
             continue
-        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+        mag = _ratio(abs(num), A.den)
         if e == 0:
             body = mag
         else:
@@ -185,7 +201,8 @@ def certificate_to_json(cert) -> dict:
     as 'num/den' strings."""
     if cert.irreducible:
         transform = [str(x) for x in cert.transform.entries()]
-        witness = [str(c) for c in cert.witness.coeffs]
+        den = cert.witness.den
+        witness = [_ratio(x, den) for x in cert.witness.nums]
         report = {
             "d0": cert.report.d0,
             "d1": cert.report.d1,
@@ -279,7 +296,7 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     try:
         formal_degree = data["formal_degree"]
         if not isinstance(formal_degree, int) or isinstance(formal_degree, bool):
-            raise TypeError(f"formal_degree must be an integer, got {formal_degree!r}")
+            raise TypeError(f"formal_degree must be an integer, got {_clip(repr(formal_degree))}")
         D, alpha = read_poly(data["input"], formal_degree)
         verdict = data["verdict"]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -290,15 +307,15 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
                 return False, f"inconclusive certificate must have null {key}"
         return True, "inconclusive certificate is well-formed (no claim to check)"
     if verdict != "irreducible":
-        return False, f"unknown verdict {verdict!r}"
+        return False, f"unknown verdict {_clip(repr(verdict))}"
     try:
         prime = data["prime"]
         if not (isinstance(prime, str) and prime.isascii() and prime.isdigit()):
-            raise ValueError(f"prime must be a string of decimal digits, got {prime!r}")
+            raise ValueError(f"prime must be a string of decimal digits, got {_clip(repr(prime))}")
         if len(prime) > MAX_DIGITS:
             raise ValueError(f"prime of {len(prime)} digits exceeds the limit {MAX_DIGITS}")
         p = int(prime)
-        if not is_probable_prime(p):
+        if p < 2:  # tested for primality last, but _val needs p >= 2
             raise ValueError(f"{p} is not prime")
         transform, coeffs = data["transform"], data["witness_coeffs"]
         if not (isinstance(transform, list) and isinstance(coeffs, list)):
@@ -325,7 +342,10 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     stored = tuple(report.get(key) for key in keys)
     fresh = _ed_report(omega, p)
     if stored != fresh:
-        return False, f"stored report {stored} disagrees with recomputed {fresh}"
+        return False, f"stored report {_clip(str(stored))} disagrees with recomputed {fresh}"
     if not all(fresh[:3]):
         return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    # Last, as the one costly test: for n >= 2, D1 at p means p | omega_0 omega_n.
+    if not is_probable_prime(p):
+        return False, f"malformed certificate: {_clip(str(p))} is not prime"
     return True, f"witness is Eisenstein-Dumas at p = {p}"

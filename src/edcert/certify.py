@@ -113,7 +113,12 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     Neither transform is built: by the endpoint lemma (see certify_search)
     U(A) has endpoints b_0 = A(s), s = -a_{n-1}/(n a_n), and b_n = a_n, and
     L(A) has c_0 = a_0 and c_n = sum a_i s'^(n-i) = reverse(A)(s'),
-    s' = -a_1/(n a_0), so two Horner evaluations give both ratios.
+    s' = -a_1/(n a_0).  Both ratios are read on integers from the binary
+    form of the numerators alpha = A.nums: with (u, w) = (-alpha_(n-1),
+    n alpha_n), one Horner pass gives F = sum alpha_i u^i w^(n-i), so that
+    b_0/b_n = F / (w^n alpha_n), reduced by one gcd; the same pass over the
+    reversed numerators gives c_n/c_0, the inverse of L(A)'s ratio, which has
+    the same primes.
 
     With a zero endpoint coefficient only the divisors of n are returned and
     the flag is dropped to False (degenerate case).  The flag is also False
@@ -123,12 +128,16 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
     if not degenerate:
-        upper = A.eval(Fraction(-a[n - 1], n * a[n])), A.leading
-        lower = A.constant, A.reverse().eval(Fraction(-a[1], n * a[0]))
-        for b0, bn in (upper, lower):
-            if b0 != 0 and bn != 0:  # else that transform fails (D0) at every prime
-                ratio = b0 / bn
-                values += [ratio.numerator, ratio.denominator]
+        for alpha in (a, a[::-1]):
+            u, w = -alpha[n - 1], n * alpha[n]
+            F, wn = alpha[n], 1
+            for ai in alpha[n - 1 :: -1]:
+                wn *= w
+                F = F * u + ai * wn
+            if F != 0:  # else that transform fails (D0) at every prime
+                den = wn * alpha[n]
+                g = math.gcd(F, den)
+                values += [F // g, den // g]
     found = [factor(x, rho_budget=rho_budget) for x in values if abs(x) > 1]
     return CandidatePrimes(
         frozenset(p for fz in found for p in fz.primes),

@@ -15,12 +15,14 @@ than hanging.
 
 Trial division works on blocks of primes: a module-level table holds, for
 consecutive ranges [lo, hi) about 4096 integers wide, the product of the
-primes in the range.  One gcd with that product tells whether any of those
-primes divides n, so a range without a factor costs one gcd instead of a
-division per odd number.  The table is built by a segmented sieve one range
-at a time, only as far as some call's trial division has reached; nothing is
-built at import, and only the products are kept, not the primes.  A cofactor
-that Miller-Rabin proves prime (below psi_13, about 3.3e24) ends the walk early.
+primes in the range.  One gcd g with that product tells which of those primes
+divide n, so a range without a factor costs one gcd instead of a division per
+odd number, and a range with one is divided only while d^2 <= g.  The table
+is built by a segmented sieve one range at a time, only as far as some call's
+trial division has reached; nothing is built at import, and only the products
+are kept, not the primes.  A cofactor that has no prime factor below its
+square root (known after a range), or that Miller-Rabin proves prime (below
+psi_13, about 3.3e24), ends the walk early.
 """
 
 from __future__ import annotations
@@ -217,14 +219,22 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
     Trial division walks the segment table (see the module docstring) up to
     TRIAL_BOUND, extending it when it runs out, and stops at the first range
-    starting above the square root of what is left.  A range whose product
-    shares a factor with n is stripped in ascending order; its composites
-    never divide, because their prime factors lie below the range and are
-    already stripped.  A cofactor proven prime after the first range, or after
-    one that divided n, ends the walk with the result the full walk would give:
-    no later range divides it, and it is then recorded as a prime either way.
-    Raises ValueError for n == 0.  The randomized stage is seeded from the
-    cofactor trial division leaves, so results are reproducible run to run.
+    starting above the square root of what is left.  In a range [lo, hi), let
+    top = min(hi, TRIAL_BOUND + 1).  g = gcd(n, product of the range's primes)
+    is squarefree, and its primes are stripped from n in ascending order while
+    d^2 <= g: a composite d never divides g, as g's primes lie in the range
+    and those below d are already stripped from it.  What is left of g is then
+    1, one prime, or a product of primes above the bound; a single prime below
+    top is stripped at once.  No prime above TRIAL_BOUND is stripped, even
+    where the last range holds it: the cofactor that rho starts from, and the
+    seed of its generator, are then those of division by every number up to
+    the bound.  After a range every prime below top is stripped, so a cofactor
+    below top^2 is 1 or a prime, and the walk ends there.  A cofactor proven
+    prime after the first range, or after one that divided n, ends it too,
+    with the result the full walk would give: no later range divides it, and
+    it is then recorded as a prime either way.  Raises ValueError for n == 0.
+    The randomized stage is seeded from the cofactor trial division leaves,
+    so results are reproducible run to run.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -238,17 +248,26 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         if i == len(_SEGMENTS):
             _extend_segments()
         lo, hi, product = _SEGMENTS[i]
+        top = min(hi, TRIAL_BOUND + 1)
         g = math.gcd(n, product)
         check_prime = i == 0 or g > 1
-        for d in range(lo, min(hi, TRIAL_BOUND + 1)):
-            if g == 1 or d * d > n:
-                break
-            if g % d == 0:
-                g //= d
-                while n % d == 0:
-                    found[d] = found.get(d, 0) + 1
-                    n //= d
+        primes = []
+        if g > 1:
+            for d in range(lo, top):
+                if d * d > g:
+                    break
+                if g % d == 0:
+                    g //= d
+                    primes.append(d)
+            if 1 < g < top:  # the one prime of g left
+                primes.append(g)
+        for d in primes:
+            while n % d == 0:
+                found[d] = found.get(d, 0) + 1
+                n //= d
         lo = hi
+        if n < top * top:
+            break  # no prime below top divides n, so n is 1 or a prime
         if check_prime and n < _MR_PROVEN_BELOW and is_probable_prime(n):
             found[n] = 1
             n = 1

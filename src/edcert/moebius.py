@@ -33,7 +33,12 @@ class Mat2:
         for name in ("a", "b", "c", "d"):
             if not isinstance(x := getattr(self, name), Fraction):
                 object.__setattr__(self, name, Fraction(operator.index(x)))
-        if self.det == 0:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # ad = bc with the denominators cleared, so no Fraction is built
+        if (
+            a.numerator * d.numerator * b.denominator * c.denominator
+            == b.numerator * c.numerator * a.denominator * d.denominator
+        ):
             raise ValueError("matrix is singular")
 
     @property

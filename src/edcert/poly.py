@@ -102,15 +102,6 @@ class FormalPoly:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    @property
-    def constant(self) -> Fraction:
-        return Fraction(self.nums[0], self.den)
-
-    @property
-    def leading(self) -> Fraction:
-        """a_n at the formal degree (may be zero)."""
-        return Fraction(self.nums[-1], self.den)
-
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, other: "FormalPoly") -> "FormalPoly":

@@ -82,6 +82,24 @@ def test_checker_rejects_a_certificate_naming_psi13():
     assert validate_certificate_json(data) == (False, f"malformed certificate: {psi13} is not prime")
 
 
+def test_witness_strings_are_the_fractions_as_text():
+    # certificate_to_json writes each witness entry from (den, nums) with one
+    # gcd; the text must be str() of the Fraction it stands for.
+    rng = random.Random(1405)
+    zeros = negatives = 0
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        nums = [rng.choice((0, rng.randint(-10**6, 10**6), rng.randint(-9, 9))) for _ in range(n + 1)]
+        nums[n] = nums[n] or rng.choice((-1, 1))
+        W = FormalPoly(rng.randint(2, 240), tuple(nums))
+        assert W.den > 1
+        zeros += 0 in W.nums
+        negatives += min(W.nums) < 0
+        cert = Certificate(W, Verdict.IRREDUCIBLE, 2, 1, moebius.Mat2.identity(), W, is_ed(W, padic(2)))
+        assert certificate_to_json(cert)["witness_coeffs"] == [str(c) for c in W.coeffs], W
+    assert zeros > 200 and negatives > 200, (zeros, negatives)
+
+
 def _conjugate_certificate(rng: random.Random) -> Certificate:
     """Certificate of B = E h for E Eisenstein-Dumas at p and h with four
     nonzero entries: transform h^-1, witness E."""
@@ -214,13 +232,24 @@ def _python_message(reason: str) -> bool:
     return "Mat2.__init__()" in reason
 
 
+def _refused_before_the_prime_test(got: tuple[bool, str], want: tuple[bool, str]) -> bool:
+    """Whether the old checker refused a composite prime of at least 2 first,
+    where the checker, which tests primality last, refuses by the report."""
+    return (
+        not got[0]
+        and want[1].endswith(" is not prime")
+        and got[1].startswith(("stored report ", "witness is not an Eisenstein-Dumas"))
+    )
+
+
 def test_checker_agrees_with_the_frozen_reference_under_mutation():
     # 1050 certificates, each checked as written and under three random
     # mutations: the same ok every time, and the same reason except where the
-    # old reason is an interpreter message.
+    # old reason is an interpreter message, or where the old checker refused
+    # a composite prime before the report that now refuses it.
     rng = random.Random(9)
     outcomes = {m.__name__: [0, 0] for m in MUTATIONS}
-    irreducible = python_messages = 0
+    irreducible = python_messages = prime_last = 0
     for cert in _certificates(rng, 1050):
         irreducible += cert.irreducible
         text = json.dumps(certificate_to_json(cert))
@@ -234,12 +263,16 @@ def test_checker_agrees_with_the_frozen_reference_under_mutation():
                 python_messages += 1
                 arity = f"transform must have 4 entries, got {len(data['transform'])}"
                 want = (False, f"malformed certificate: {arity}")
+            if _refused_before_the_prime_test(got, want):
+                prime_last += 1
+                want = got
             assert got == want, (data, got, want)
             if name is None:
                 assert got[0], (data, got)
             else:
                 outcomes[name][got[0]] += 1
     assert irreducible > 900 and python_messages > 0, (irreducible, python_messages)
+    assert prime_last > 0, prime_last
     # Every mutation ran and was mostly rejected.  Some are harmless: a key
     # dropped from an inconclusive certificate that must be null anyway, or a
     # neighbouring prime at which the witness is Eisenstein-Dumas too.

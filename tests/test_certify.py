@@ -54,7 +54,7 @@ def test_upper_transform():
 
     m, U = upper_transform(cyclotomic(5))
     assert m == Mat2.shear(Fraction(-1, 4))
-    assert U.constant == Fraction(205, 256)
+    assert U.coeffs[0] == Fraction(205, 256)
     assert U.coeffs[3] == 0  # the x^(n-1) coefficient is killed
 
     with pytest.raises(ValueError):

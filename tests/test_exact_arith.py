@@ -153,6 +153,63 @@ def test_factor_matches_reference_when_rho_runs_out():
     assert fz.cofactor == a * b and fz.factors == ((2, 2), (3, 1))
 
 
+def test_factor_stops_dividing_a_range_at_the_square_root_of_its_gcd():
+    # Within a range, trial division runs over g = gcd(n, product of the
+    # range's primes) while d^2 <= g, and strips what is left of g as one
+    # prime; a cofactor below min(hi, bound + 1)^2 after a range is prime.
+    big = 1000003  # a prime above the trial bound
+    cases = [
+        4093 * big, 4091 * big, 4093 * 4091 * big, 2 * 4093 * big**2,
+        4091 * 4093, 4093**2, 4093**3, 3 * 4091**2 * 4093,
+    ]
+    # cofactors just below and above 4096^2 and 8192^2, the squares of the
+    # ends of the first two ranges, with a factor from the first range
+    for square in (4096**2, 8192**2):
+        below, above = _prime_at_or_below(square - 1), _prime_above(square)
+        cases += [6 * below, 6 * above, 5 * _prime_above(4096) * _prime_above(square // 4096)]
+        cases += [below, above, below * above]
+    for n in cases:
+        assert factor(n) == reference_factor(n), n
+
+
+def test_factor_strips_no_prime_above_the_trial_bound():
+    # The last range, [999424, 1003520), holds primes above the bound 10^6;
+    # one stripped there would change the cofactor rho starts from.
+    a, b = 10**19 + 51, 10**20 + 39
+    for n in (1003517 * a * b, 1003517 * 1003543, 2 * 1003517 * a):
+        fz = factor(n, rho_budget=50)
+        assert fz == reference_factor(n, rho_budget=50), n
+    assert factor(1003517 * 1003543, rho_budget=50).cofactor == 1003517 * 1003543
+
+
+def _near_range_ends(rng: random.Random) -> int:
+    """At most one prime next to the square of the end of one of the first
+    three sieved ranges, times one or two of: a prime next to the end of one
+    of the first eight ranges, a prime power, a small integer.  With one
+    large prime, the reference's division by every odd number stays short."""
+    n = 1
+    if rng.random() < 0.5:
+        square = (4096 * rng.randint(1, 3)) ** 2
+        n = _prime_at_or_below(square - rng.randint(1, 99)) if rng.random() < 0.5 else _prime_above(square)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            end = 4096 * rng.randint(1, 8)
+            n *= _prime_at_or_below(end - 1) if rng.random() < 0.5 else _prime_above(end)
+        elif kind == 1:
+            n *= _prime_above(rng.randrange(2, 9000)) ** rng.randint(1, 3)
+        else:
+            n *= rng.randrange(1, 10**4)
+    return n
+
+
+def test_factor_matches_reference_on_seeded_draws():
+    rng = random.Random(1406)
+    for _ in range(2000):
+        n = _near_range_ends(rng)
+        assert factor(n) == reference_factor(n), n
+
+
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factor_roundtrip(n):
     fz = factor(n)

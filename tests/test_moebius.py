@@ -33,6 +33,30 @@ def test_singular_matrix_rejected():
         Mat2(0, 0, 1, 1)
 
 
+def test_singular_matrix_test_on_integers_agrees_with_the_determinant():
+    # Mat2 compares a_n d_n b_d c_d with b_n c_n a_d d_d (numerators and
+    # denominators of the entries) instead of building the determinant.
+    half, third, tiny = Fraction(1, 2), Fraction(1, 3), Fraction(1, 10**30)
+    with pytest.raises(ValueError):
+        Mat2(half, third, Fraction(3, 4), half)
+    assert Mat2(half, third, Fraction(3, 4), half + tiny).det == tiny / 2
+    r = random.Random(2014)
+    singular = 0
+    for _ in range(2000):
+        a, b, c, d = (Fraction(r.randint(-6, 6), r.randint(1, 6)) for _ in range(4))
+        if r.random() < 0.5:  # a row proportional to the other, so ad = bc
+            k = Fraction(r.randint(-4, 4), r.randint(1, 4))
+            c, d = k * a, k * b
+        try:
+            Mat2(a, b, c, d)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == (a * d - b * c == 0), (a, b, c, d)
+        singular += rejected
+    assert 900 < singular < 1300, singular
+
+
 def test_cubic_action_example():
     # degree-3 form x^3 + x^2 y - 2 y^3 under the unipotent lower shear
     A = poly(-2, 0, 1, 1)

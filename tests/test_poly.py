@@ -66,8 +66,8 @@ def test_taylor_shift():
     assert poly(0, 0, 1).taylor_shift(1) == poly(1, 2, 1)
     assert poly(8, 4, 1).taylor_shift(-2) == poly(4, 0, 1)
     shifted = PHI5.taylor_shift(Fraction(-1, 4))
-    assert shifted.constant == Fraction(205, 256)
-    assert shifted.leading == 1
+    assert shifted.coeffs[0] == Fraction(205, 256)
+    assert shifted.coeffs[-1] == 1
     assert shifted.formal_degree == 4
 
 
