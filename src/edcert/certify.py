@@ -22,10 +22,14 @@ by the orbit lemma (see certify_search) it can never give the first hit.
 A failed search is reported inconclusive, never as "reducible": the
 criterion is one-sided.
 
-Stage 4 reads each member's endpoint coefficients before building it: the
-member [[t, phi(t)], [1, 1]] has leading coefficient A(t) and constant
-coefficient A(phi(t)), so (D0) and (D1) at p are decided by two values
-computed once per grid point, and only members passing both are built.
+Stage 4 runs on integers.  The member [[t, phi(t)], [1, 1]] has leading
+coefficient A(t) and constant coefficient A(phi(t)).  With t = a/b and
+phi(t) = P/Q, these are F / (den b^n) and F(P, Q) / (den Q^n), where F is
+the binary form of A.nums; den and the n-th powers drop out of (D1) mod n,
+so (D0) and (D1) at p are decided from the two integers F(a, b) and
+F(P, Q), computed once per grid point, before a member is built.  A member
+that passes is built on integers as (bQ)^n times itself, which has the same
+Eisenstein-Dumas report (endpoint lemma, see certify_search).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from fractions import Fraction
 from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
-from .poly import FormalPoly
+from .poly import FormalPoly, _form_at, _substitute
 from .valuation import PAdic
 
 
@@ -78,12 +82,7 @@ def phi(A: FormalPoly, t: Rational | int) -> Fraction:
     deriv = A.derivative().eval(t)
     if deriv == 0:
         raise ValueError("phi undefined: A'(t) = 0")
-    return _phi_value(A.formal_degree, t, A.eval(t), deriv)
-
-
-def _phi_value(n: int, t: Fraction, at: Fraction, deriv: Fraction) -> Fraction:
-    """phi(t) from at = A(t) and deriv = A'(t) != 0, for A of formal degree n."""
-    return t - n * at / deriv
+    return t - A.formal_degree * A.eval(t) / deriv
 
 
 def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly]:
@@ -130,12 +129,9 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     if not degenerate:
         for alpha in (a, a[::-1]):
             u, w = -alpha[n - 1], n * alpha[n]
-            F, wn = alpha[n], 1
-            for ai in alpha[n - 1 :: -1]:
-                wn *= w
-                F = F * u + ai * wn
+            F = _form_at(alpha, u, w)
             if F != 0:  # else that transform fails (D0) at every prime
-                den = wn * alpha[n]
+                den = w**n * alpha[n]
                 g = math.gcd(F, den)
                 values += [F // g, den // g]
     found = [factor(x, rho_budget=rho_budget) for x in values if abs(x) > 1]
@@ -152,6 +148,44 @@ def default_t_grid() -> tuple[Fraction, ...]:
     first call and shared by every later search."""
     grid = {Fraction(a, b) for b in range(1, 9) for a in range(-8, 9)}
     return tuple(sorted(grid, key=lambda q: (max(abs(q.numerator), q.denominator), q)))
+
+
+def _family_grid(A: FormalPoly) -> tuple[list[tuple[Fraction, int, int, int, int]], int]:
+    """The stage-4 grid on integers: (t, P, Q, F, F(P, Q)) for each grid
+    point t whose member exists, in grid order, and the number of points
+    skipped, those with A(t) = 0 (a singular member) or A'(t) = 0 (phi(t)
+    undefined).
+
+    With t = a/b, alpha = A.nums and n the formal degree, F = sum alpha_i
+    a^i b^(n-i) = den b^n A(t) and G, the same form over the numerators
+    i alpha_i of A', is den b^(n-1) A'(t); so phi(t) = P/Q with P = aG - nF
+    and Q = bG, left unreduced, and F(P, Q) = den Q^n A(phi(t)).
+    """
+    n, alpha = A.formal_degree, A.nums
+    dalpha = [i * x for i, x in enumerate(alpha)][1:]
+    points, skipped = [], 0
+    for t in default_t_grid():
+        a, b = t.numerator, t.denominator
+        F, G = _form_at(alpha, a, b), _form_at(dalpha, a, b)
+        if F == 0 or G == 0:
+            skipped += 1
+            continue
+        P, Q = a * G - n * F, b * G
+        points.append((t, P, Q, F, _form_at(alpha, P, Q)))
+    return points, skipped
+
+
+def _family_gate(vp: PAdic, n: int, F: int, FP: int) -> bool:
+    """(D0) and (D1) at vp of the member whose grid point has the values
+    F and FP = F(P, Q) of _family_grid (endpoint lemma, see certify_search)."""
+    return FP != 0 and math.gcd(vp.val(FP) - vp.val(F), n) == 1
+
+
+def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
+    """(bQ)^n times the member [[t, P/Q], [1, 1]] applied to A, t = a/b: the
+    binary form of A at (aQ x + bP, bQ x + bQ), built on integers."""
+    a, b = t.numerator, t.denominator
+    return _substitute(A, a * Q, b * P, b * Q, b * Q)
 
 
 @dataclass(frozen=True)
@@ -226,11 +260,6 @@ def _failure_reason(report: EDReport) -> str:
     return "; ".join(parts)
 
 
-def _endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
-    """(D0) and (D1) at vp for a degree-n polynomial with endpoints b0, bn."""
-    return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
-
-
 def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certificate:
     """Deterministic certificate search: primes ascending, then stage 1, 2
     and 4, t in grid order; the first Eisenstein-Dumas hit wins.
@@ -263,9 +292,19 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
     and x^0 are sum a_i a^i c^(n-i) = c^n A(a/c) and sum a_i b^i d^(n-i) =
     d^n A(b/d), so the member with a = t, b = phi(t), c = d = 1 has b_n = A(t)
-    and b_0 = A(phi(t)).  A member skipped at p fails (D0) or (D1) there, so
-    it could not have been a hit, and the first hit is still the first t in
-    grid order.  A built member is kept for the later primes.
+    and b_0 = A(phi(t)).  On integers (see _family_grid), with t = a/b and
+    phi(t) = P/Q, b_n = F / (den b^n) and b_0 = F(P, Q) / (den Q^n), so
+    v(b_0) - v(b_n) = v(F(P, Q)) - v(F) - n (v(Q) - v(b)): den drops out, and
+    a multiple of n does not change the gcd with n.  So (D0) and (D1) at p
+    hold exactly when F(P, Q) != 0 and gcd(v(F(P, Q)) - v(F), n) = 1.  A
+    member skipped at p fails (D0) or (D1) there, so it could not have been
+    a hit, and the first hit is still the first t in grid order.  A member
+    is built as the binary form of A at (aQ x + bP, bQ x + bQ), which is
+    (bQ)^n times the member; (D0)-(D2) and their witnesses do not change when
+    every coefficient is scaled by one nonzero constant, so is_ed gives the
+    member's report.  A built member is kept for the later primes.  Only a
+    hit builds the exact matrix and member for the certificate, and by the
+    orbit lemma that never happens.
 
     Candidate primes could be evaluated concurrently and reconciled by the
     same (prime, stage, t) priority order; this implementation keeps the
@@ -287,10 +326,10 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     # U(A) and the family members do not depend on the prime; U(A) is built
     # when stage 2 first runs.
     upper_pair: tuple[Mat2, FormalPoly] | None = None
-    # Stage 4 grid entries (t, phi(t), A(t), A(phi(t))), and the members
-    # built so far by their index in the grid.
-    grid: list[tuple[Fraction, Fraction, Fraction, Fraction]] | None = None
-    members: dict[int, tuple[Mat2, FormalPoly]] = {}
+    # Stage 4 grid entries (t, P, Q, F, F(P, Q)), see _family_grid, and the
+    # scaled members built so far by their index in the grid.
+    grid: list[tuple[Fraction, int, int, int, int]] | None = None
+    members: dict[int, FormalPoly] = {}
     members_skipped = 0
 
     def success(vp, stage, transform, witness, report):
@@ -327,26 +366,17 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
         audit.append(AuditEntry(p, 2, _failure_reason(report)))
 
         if grid is None:
-            grid = []
-            dA = A.derivative()
-            for t in default_t_grid():
-                at, deriv = A.eval(t), dA.eval(t)
-                if at == 0 or deriv == 0:  # a singular member, or phi(t) undefined
-                    members_skipped += 1
-                    continue
-                f = _phi_value(n, t, at, deriv)
-                grid.append((t, f, at, A.eval(f)))
-        for i, (t, f, at, af) in enumerate(grid):
-            if not _endpoints_pass(af, at, vp, n):
+            grid, members_skipped = _family_grid(A)
+        for i, (t, P, Q, F, FP) in enumerate(grid):
+            if not _family_gate(vp, n, F, FP):
                 continue
-            pair = members.get(i)
-            if pair is None:
-                m = Mat2(t, f, 1, 1)
-                pair = members[i] = m, act(A, m)
-            m, member = pair
+            member = members.get(i)
+            if member is None:
+                member = members[i] = _family_member(A, t, P, Q)
             report = is_ed(member, vp)
             if report.verdict:
-                return success(vp, 4, m, member, report)
+                m = Mat2(t, Fraction(P, Q), 1, 1)
+                return success(vp, 4, m, act(A, m), report)
         audit.append(
             AuditEntry(
                 p,

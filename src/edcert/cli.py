@@ -5,6 +5,8 @@ grammar of --poly, --matrix and the certificate rationals, the certificate
 JSON format and its checker live in edcert.certificate, and the grammar's
 names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from there;
 parse_poly and parse_rational wrap its readers in a FormalPoly and a Fraction.
+The integer flags --prime and --formal-degree refuse more than MAX_DIGITS
+digits, and an error echoes a long value clipped.
 ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
 
 The optional EDCERT_RHO_BUDGET environment variable caps the factoring
@@ -25,6 +27,7 @@ from fractions import Fraction
 
 from .certificate import (
     MAX_DIGITS,
+    _clip,
     certificate_to_json,
     format_poly,
     read_poly,
@@ -52,6 +55,18 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
     position, and the first in the text is the one reported.
     """
     return FormalPoly(*read_poly(text, formal_degree))
+
+
+def _int_arg(text: str) -> int:
+    """An integer flag (--prime, --formal-degree) as int() reads it; more
+    than MAX_DIGITS digits are refused with a message of ours, and a value
+    that is not an integer is echoed clipped."""
+    if (size := len(text.strip().lstrip("+-"))) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"integer of {size} digits exceeds the limit {MAX_DIGITS}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {_clip(repr(text))}") from None
 
 
 def format_matrix(g: Mat2) -> str:
@@ -277,19 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(name, required=True, help=help)
         p.add_argument(
             "--formal-degree",
-            type=int,
+            type=_int_arg,
             default=None,
             help="treat the polynomial as a form of this degree (upward override)",
         )
 
     p = sub.add_parser("ed-check", help="test the Eisenstein-Dumas conditions at one prime")
     poly_arg(p)
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=_int_arg)
     p.set_defaults(fn=_cmd_ed_check)
 
     p = sub.add_parser("newton", help="print (and optionally plot) the Newton polygon")
     poly_arg(p)
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=_int_arg)
     p.add_argument("--svg", metavar="FILE", help="write an SVG plot to FILE")
     p.set_defaults(fn=_cmd_newton)
 
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dumas", help="check polygon concatenation for a product")
     p.add_argument("--polyA", required=True)
     p.add_argument("--polyB", required=True)
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=_int_arg)
     p.set_defaults(fn=_cmd_dumas)
 
     p = sub.add_parser("verify", help="re-validate a JSON certificate")

@@ -18,9 +18,19 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact_arith import Rational
+
+
+def _form_at(alpha: Sequence[int], u: int, w: int) -> int:
+    """sum alpha_i u^i w^(n-i) with n = len(alpha) - 1: the binary form with
+    integer coefficients alpha at (u, w), by one Horner pass."""
+    F, wk = alpha[-1], 1
+    for ai in alpha[-2::-1]:
+        wk *= w
+        F = F * u + ai * wk
+    return F
 
 
 def _substitute(A: "FormalPoly", a: Rational | int, b: Rational | int,
@@ -118,17 +128,12 @@ class FormalPoly:
     def eval(self, t: Rational | int) -> Fraction:
         """Exact value at t, by Horner's rule on integers.
 
-        With t = p/q, the sum of nums_i p^i q^(n-i) is an integer, divided
-        once by den q^n; only that last Fraction is reduced, which matters
-        when t is tall.
+        With t = p/q, the sum of nums_i p^i q^(n-i) is an integer (the
+        binary form at (p, q), _form_at), divided once by den q^n; only that
+        last Fraction is reduced, which matters when t is tall.
         """
-        p, q = t.numerator, t.denominator
-        acc = 0
-        qpow = 1
-        for ai in reversed(self.nums):
-            acc = acc * p + ai * qpow
-            qpow *= q
-        return Fraction(acc, self.den * (qpow // q))
+        q = t.denominator
+        return Fraction(_form_at(self.nums, t.numerator, q), self.den * q ** (len(self.nums) - 1))
 
     def derivative(self) -> "FormalPoly":
         """Formal derivative at formal degree n-1 (constants drop to degree 0)."""

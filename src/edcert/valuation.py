@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certificate import _clip
 from .exact_arith import Rational, is_probable_prime
 
 
@@ -41,7 +42,7 @@ class PAdic:
 
     def __post_init__(self):
         if not is_probable_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise ValueError(f"{_clip(str(self.p))} is not prime")
 
     def val(self, q: Rational | int) -> int:
         """v_p(q) for q != 0, possibly negative; ValueError for q = 0."""

@@ -343,6 +343,13 @@ def reference_candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_B
     return CandidatePrimes(frozenset(primes), complete)
 
 
+def endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
+    """(D0) and (D1) at vp for a degree-n polynomial with endpoint
+    coefficients b0 and bn, read from the Fractions: the stage-4 gate as it
+    was before it ran on integers."""
+    return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
+
+
 _REFERENCE_GRID = default_t_grid()
 
 
@@ -371,9 +378,6 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
         return Certificate(
             A, Verdict.IRREDUCIBLE, vp.p, stage, transform, witness, report, tuple(audit), cand.complete
         )
-
-    def endpoints_pass(b0, bn, vp):
-        return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
 
     for p in sorted(cand.primes):
         vp = padic(p)
@@ -410,7 +414,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
                 f = t - n * at / dt
                 grid.append((t, f, at, A.eval(f)))
         for i, (t, f, at, af) in enumerate(grid):
-            if not endpoints_pass(af, at, vp):
+            if not endpoints_pass(af, at, vp, n):
                 continue
             pair = members.get(i)
             if pair is None:

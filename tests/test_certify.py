@@ -1,6 +1,11 @@
+import hashlib
+import json
 import random
+import sys
+import types
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from edcert import (
     upper_transform,
 )
 from helpers import (
+    endpoints_pass,
     padic,
     random_dense_mat,
     random_ed_polynomial,
@@ -31,8 +37,8 @@ from helpers import (
     reference_certify_search,
 )
 import edcert.certify as certify_module
-from edcert.certify import _endpoints_pass, _failure_reason
-from edcert.cli import certificate_to_json
+from edcert.certify import _failure_reason, _family_gate, _family_grid, _family_member
+from edcert.cli import certificate_to_json, validate_certificate_json
 
 
 def poly(*coeffs, n=None):
@@ -129,11 +135,116 @@ def test_one_param_member_endpoints_are_A_at_t_and_phi():
         for p in (2, 3, 5, 7):
             vp = padic(p)
             report = is_ed(member, vp)
-            gate = _endpoints_pass(A.eval(phi(A, t)), A.eval(t), vp, n)
+            gate = endpoints_pass(A.eval(phi(A, t)), A.eval(t), vp, n)
             assert gate == (report.d0 and report.d1), (A, t, p)
             passed += gate
         checked += 1
     assert checked >= 140 and 100 <= passed <= 4 * checked - 100
+
+
+def _rational_poly(rng):
+    """Degree 2-7 with nonzero endpoints; about half the draws have den > 1."""
+    n = rng.randint(2, 7)
+    dens = (1,) if rng.random() < 0.5 else (1, 2, 3, 4, 6, 9, 10)
+    cs = [Fraction(rng.randint(-30, 30), rng.choice(dens)) for _ in range(n + 1)]
+    for end in (0, n):
+        while cs[end] == 0:
+            cs[end] = Fraction(rng.randint(-30, 30), rng.choice(dens))
+    return FormalPoly.from_coeffs(cs)
+
+
+_PRIMES_BELOW_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _family_draws(seed, count):
+    """count seeded (A, t, P, Q, F, FP, p) draws: A from _rational_poly, five
+    grid points of its family from _family_grid, and p a prime below 50
+    dividing den, b or Q in about two thirds of the draws, else 2..13."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        A = _rational_poly(rng)
+        points, _ = _family_grid(A)
+        for t, P, Q, F, FP in rng.sample(points, min(5, len(points))):
+            special = [q for q in _PRIMES_BELOW_50 if A.den % q == 0 or t.denominator % q == 0 or Q % q == 0]
+            pool = special if special and rng.random() < 2 / 3 else [2, 3, 5, 7, 11, 13]
+            draws.append((A, t, P, Q, F, FP, rng.choice(pool)))
+    return draws[:count]
+
+
+def test_family_grid_is_phi_and_the_endpoints_on_integers():
+    # Every third draw has a root at a grid point, so its member is singular.
+    rng = random.Random(1501)
+    skipped_total = 0
+    for i in range(150):
+        A = _rational_poly(rng)
+        if i % 3 == 0:
+            A = A.mul(FormalPoly.from_coeffs([-rng.choice(default_t_grid()), 1]))
+        n, dA = A.formal_degree, A.derivative()
+        points, skipped = _family_grid(A)
+        kept = [t for t in default_t_grid() if A.eval(t) != 0 and dA.eval(t) != 0]
+        assert [point[0] for point in points] == kept and skipped == 87 - len(kept), A
+        for t, P, Q, F, FP in points:
+            assert Fraction(P, Q) == phi(A, t)
+            assert F == A.den * t.denominator**n * A.eval(t)
+            assert FP == A.den * Q**n * A.eval(Fraction(P, Q))
+        skipped_total += skipped
+    assert skipped_total >= 50
+
+
+def test_integer_gate_is_d0_and_d1_of_the_member():
+    # The gate reads F and F(P, Q) only; den, b^n and Q^n must drop out of
+    # (D1), so the draws favour primes dividing den, b or Q.
+    gates = Counter()
+    divides = Counter()
+    for A, t, P, Q, F, FP, p in _family_draws(1502, 2400):
+        vp = padic(p)
+        report = is_ed(one_param_member(A, t)[1], vp)
+        gate = _family_gate(vp, A.formal_degree, F, FP)
+        assert gate == (report.d0 and report.d1), (A, t, p)
+        gates[gate] += 1
+        divides.update(k for k, x in (("den", A.den), ("b", t.denominator), ("Q", Q)) if x % p == 0)
+    assert gates[True] >= 400 and gates[False] >= 400, gates
+    assert min(divides["den"], divides["b"], divides["Q"]) >= 200, divides
+
+
+def test_scaled_member_has_the_members_report():
+    # _family_member builds (bQ)^n times the member; is_ed must not tell them apart.
+    verdicts = Counter()
+    for A, t, P, Q, F, FP, p in _family_draws(1503, 2400):
+        member = one_param_member(A, t)[1]
+        scaled = _family_member(A, t, P, Q)
+        assert scaled == member.scale_all((t.denominator * Q) ** A.formal_degree), (A, t)
+        report = is_ed(member, padic(p))
+        assert is_ed(scaled, padic(p)) == report, (A, t, p)
+        verdicts[report.d0 and report.d1, report.d2] += 1
+    assert min(verdicts.values()) >= 50 and len(verdicts) == 4, verdicts
+
+
+def test_stage_four_hit_certifies_the_exact_member(monkeypatch):
+    # By the orbit lemma stage 4 never gives the first hit; with stage 2
+    # disabled it does, and its certificate must be the Fraction search's.
+    def no_shift(A):
+        return Mat2.identity(), A
+
+    monkeypatch.setattr(certify_module, "upper_transform", no_shift)
+    monkeypatch.setattr(sys.modules[__name__], "upper_transform", no_shift)
+    rng = random.Random(1504)
+    hits = 0
+    for _ in range(60):
+        E, _ = random_ed_polynomial(
+            rng, prime_coprime_to_degree=True, max_degree=4, max_unit=6, max_endpoint_val=2, extra_val=1
+        )
+        A = act(E, random_dense_mat(rng, 3))
+        if A.actual_degree != A.formal_degree:
+            continue
+        cert = certify_search(A)
+        assert certificate_to_json(cert) == certificate_to_json(_eager_certify_search(A)), A
+        if cert.stage == 4:
+            assert (cert.transform, cert.witness) == one_param_member(A, cert.transform.a)
+            assert validate_certificate_json(certificate_to_json(cert))[0]
+            hits += 1
+    assert hits >= 30
 
 
 def test_candidate_primes_examples():
@@ -461,3 +572,27 @@ def test_orbit_lemma_lower_hit_implies_upper_hit():
         assert is_ed(upper_transform(A)[1], v).verdict, (E, A, p)
         checked += 1
     assert checked >= 350 and lower_hits >= 50
+
+
+# sha256 of the certificate JSON texts, one line each, over each workload's
+# inputs in list order; bench/reference/ keeps per-input digests, but not all
+# of them are current, so these pin the whole text.
+_PINNED_CERTIFICATES = {
+    "mixed-lowdeg": "c02a6825bebd941ff2a2cb2089bd05c3e5327c14dc6878a98b7b348e7d43f9c0",
+    "dense-search": "955af21d146e0d12052429a5e541efd300ffe6b64d4faef8a58807600e21b19e",
+}
+
+
+def test_certificate_json_is_pinned_on_the_bench_corpus(monkeypatch):
+    # bench/corpus.py runs from its source text, so nothing is written under
+    # bench/; it imports nothing from edcert.
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    corpus = types.ModuleType("bench_corpus")
+    monkeypatch.setitem(sys.modules, corpus.__name__, corpus)  # for its dataclass
+    exec(compile(path.read_text(), str(path), "exec"), corpus.__dict__)
+    for workload, digest in _PINNED_CERTIFICATES.items():
+        h = hashlib.sha256()
+        for item in corpus.inputs(workload):
+            cert = certify_search(FormalPoly.from_coeffs(item.coeffs))
+            h.update((json.dumps(certificate_to_json(cert)) + "\n").encode())
+        assert h.hexdigest() == digest, workload

@@ -288,6 +288,34 @@ def test_act_refuses_a_literal_over_the_digit_limit(poly_text, matrix, capsys):
     assert parse_poly("7" * MAX_DIGITS + "x+1").nums[1] == int("7" * MAX_DIGITS)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ed-check", "--poly", "x^2+1", "--prime"],
+        ["newton", "--poly", "x^2+1", "--prime"],
+        ["dumas", "--polyA", "x+2", "--polyB", "x+4", "--prime"],
+        ["certify", "--poly", "x^2+1", "--formal-degree"],
+    ],
+    ids=["ed-check", "newton", "dumas", "formal-degree"],
+)
+def test_integer_flags_echo_a_long_value_clipped(argv, capsys):
+    # int() on 5000 digits raised the interpreter's message, which argparse
+    # printed with the whole value; 4299 sevens then an 8 is an even integer
+    # that PAdic refuses as "not prime", once echoing all 4300 digits.
+    for value, reason in (
+        ("7" * 5000, f"integer of 5000 digits exceeds the limit {MAX_DIGITS}"),
+        ("7" * 200 + "x", f"invalid integer '{'7' * 19}... (203 characters)"),  # repr's quotes
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and reason in err and len(err) < 300, err
+    if argv[-1] == "--prime":
+        assert main(argv + ["7" * 4299 + "8"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 77777777777777777777... (4300 characters) is not prime\n"
+
+
 def test_act_prints_a_long_result_within_the_limit(capsys):
     big = 10**2000  # (big x + 1)^2 + 1 has a 4001-digit leading coefficient
     assert main(["act", "--poly", "x^2+1", "--matrix", f"{big},1;0,1"]) == 0
