@@ -29,10 +29,12 @@ equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
     D_A lam^n Omega(x) = D_W F(ax+b, cx+d) between two integer polynomials of
     degree at most n.  It holds if and only if it holds at the n+1 points
     x = 0, 1, ..., n.
-  * (D0)-(D2) at p are read from the valuations of the integer numerators
-    omega_i = D_W w_i.  Each is v(D_W) + v(w_i), and the common term cancels:
+  * (D0)-(D2) at p are read from the integer numerators omega_i = D_W w_i.
+    Each valuation is v(D_W) + v(w_i), and the common term cancels:
     v(w_0) - v(w_n) is unchanged in (D1), and in (D2) it adds n v(D_W) to
-    both sides of n v(w_i) >= (n-i) v(w_0) + i v(w_n).
+    both sides of n v(w_i) >= (n-i) v(w_0) + i v(w_n).  Only omega_0 and
+    omega_n are valued; (D2) at an interior index is a divisibility test
+    (see _ed_report).
 
 Inconclusive certificates get a shape check only.  The checker is total: any
 malformed JSON value gives (False, reason), never an exception.  The only
@@ -169,10 +171,25 @@ def _integer_form(rationals: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return D, [num * (D // den) for num, den in rationals]
 
 
+#: The least integer of more than MAX_DIGITS digits.
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """str(x); past MAX_DIGITS digits, which read_poly would refuse, a
+    ValueError of ours in place of the interpreter's."""
+    if -_DIGITS_BOUND < x < _DIGITS_BOUND:
+        return str(x)
+    raise ValueError(
+        f"a certificate integer of {x.bit_length()} bits exceeds the limit of {MAX_DIGITS} digits"
+    )
+
+
 def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms as 'x' or 'x/d', the text of str(Fraction)."""
+    """num/den in lowest terms as 'x' or 'x/d', the text of str(Fraction);
+    each integer is written by _decimal."""
     g = math.gcd(num, den)
-    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+    return _decimal(num // g) if g == den else f"{_decimal(num // g)}/{_decimal(den // g)}"
 
 
 def format_poly(A) -> str:
@@ -198,9 +215,11 @@ def format_poly(A) -> str:
 
 def certificate_to_json(cert) -> dict:
     """Exact-string JSON form of a Certificate; all rationals are serialized
-    as 'num/den' strings."""
+    as 'num/den' strings.  Every integer it writes goes through _decimal, so
+    one of more than MAX_DIGITS digits raises ValueError before any text is
+    returned."""
     if cert.irreducible:
-        transform = [str(x) for x in cert.transform.entries()]
+        transform = [_ratio(x.numerator, x.denominator) for x in cert.transform.entries()]
         den = cert.witness.den
         witness = [_ratio(x, den) for x in cert.witness.nums]
         report = {
@@ -210,11 +229,11 @@ def certificate_to_json(cert) -> dict:
             "gcd_value": cert.report.d1_gcd,
             "failing_index": cert.report.d2_failing_index,
         }
-        prime = str(cert.prime)
+        prime = _decimal(cert.prime)
     else:
         transform = witness = report = prime = None
     audit = [
-        {"prime": str(e.prime), "stage": e.stage, "reason": e.reason} for e in cert.audit
+        {"prime": _decimal(e.prime), "stage": e.stage, "reason": e.reason} for e in cert.audit
     ]
     if not cert.candidate_primes_complete:
         audit.append(
@@ -233,11 +252,18 @@ def certificate_to_json(cert) -> dict:
 
 
 def _val(m: int, p: int) -> int:
-    """Exponent of p in the nonzero integer m."""
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
+    """Exponent of p in the nonzero integer m, by repeated squaring: strip
+    p^(2^j) for j = 0, 1, ... while it divides m, then test the smaller
+    powers p^(2^j) largest first, each once."""
+    k, powers = 0, [p]
+    while m % powers[-1] == 0:
+        m //= powers[-1]
+        k += 1 << len(powers) - 1
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        if m % powers[j] == 0:
+            m //= powers[j]
+            k += 1 << j
     return k
 
 
@@ -270,15 +296,25 @@ def _acts_to(D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: l
 
 def _ed_report(omega: list[int], p: int) -> tuple[bool, bool, bool, int | None, int | None]:
     """(d0, d1, d2, gcd, failing index) of the Eisenstein-Dumas conditions at
-    p, read from the integer numerators omega of a degree-n polynomial."""
+    p, read from the integer numerators omega of a degree-n polynomial.
+
+    Only omega_0 and omega_n are valued: since v(omega_i) is an integer,
+    n v(omega_i) >= (n-i) v0 + i vn holds exactly when omega_i is 0 or
+    divisible by p^k with k = ceil(((n-i) v0 + i vn) / n)."""
     n = len(omega) - 1
     if omega[0] == 0 or omega[n] == 0:
         return False, False, False, None, None
     v0, vn = _val(omega[0], p), _val(omega[n], p)
     g = math.gcd(v0 - vn, n)
-    failing = next(
-        (i for i, w in enumerate(omega) if w and n * _val(w, p) < (n - i) * v0 + i * vn), None
-    )
+    powers: dict[int, int] = {}
+    failing = None
+    for i in range(1, n):
+        k = -(-((n - i) * v0 + i * vn) // n)
+        if k not in powers:
+            powers[k] = p**k
+        if omega[i] % powers[k]:
+            failing = i
+            break
     return True, g == 1, failing is None, g, failing
 
 

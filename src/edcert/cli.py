@@ -218,25 +218,30 @@ def _cmd_certify(args) -> int:
         raise ValueError(f"EDCERT_RHO_BUDGET must be a positive integer in ASCII digits, got {budget!r}")
     config = SearchConfig(rho_budget=int(budget)) if budget else SearchConfig()
     cert = certify_search(A, config)
+    # certificate_to_json refuses every integer it would write past
+    # MAX_DIGITS digits, and these cover each integer the lines print; the
+    # lines are printed last, so certify prints all of its text or none.
+    data = certificate_to_json(cert)
     if cert.irreducible:
-        print("verdict: irreducible")
-        print(f"prime: {cert.prime}")
-        print(f"stage: {cert.stage} ({STAGE_NAMES[cert.stage]})")
-        print(f"transform: {format_matrix(cert.transform)}")
-        print(f"witness: {format_poly(cert.witness)} (formal degree {cert.witness.formal_degree})")
-        for line in _report_lines(cert.report):
-            print(line)
+        lines = [
+            "verdict: irreducible",
+            f"prime: {cert.prime}",
+            f"stage: {cert.stage} ({STAGE_NAMES[cert.stage]})",
+            f"transform: {format_matrix(cert.transform)}",
+            f"witness: {format_poly(cert.witness)} (formal degree {cert.witness.formal_degree})",
+            *_report_lines(cert.report),
+        ]
     else:
         suffix = "" if cert.candidate_primes_complete else " (candidate prime set possibly incomplete)"
-        print(f"verdict: inconclusive{suffix}")
+        lines = [f"verdict: inconclusive{suffix}"]
         for entry in cert.audit:
             stage = f"stage {entry.stage}" if entry.stage else "note"
-            print(f"  p={entry.prime} {stage}: {entry.reason}")
+            lines.append(f"  p={entry.prime} {stage}: {entry.reason}")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(certificate_to_json(cert), fh, indent=2)
-            fh.write("\n")
-        print(f"certificate written to {args.json}")
+            fh.write(json.dumps(data, indent=2) + "\n")
+        lines.append(f"certificate written to {args.json}")
+    print("\n".join(lines))
     return 0 if cert.irreducible else 1
 
 

@@ -82,10 +82,12 @@ def act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
 
     The substitution (x, y) -> (ax+b, cx+d) into the binary form
-    sum a_i x^i y^(n-i), on integers: Horner's rule on the binary form runs
-    on A.nums and the entries of g with their denominators cleared, in O(n^2)
-    integer operations, and the result's (den, nums) is reduced by one gcd
-    (see poly._substitute).  FormalPoly.taylor_shift is the same computation
-    for the shear [[1, t], [0, 1]].
+    sum a_i x^i y^(n-i), on integers: A.nums and the entries of g with their
+    denominators cleared go through a synthetic-division Taylor shift when
+    g is upper triangular (c = 0) and through Horner's rule on the binary
+    form otherwise, in O(n^2) integer operations, and the result's
+    (den, nums) is reduced by one gcd (see poly._substitute).
+    FormalPoly.taylor_shift is the same computation for the shear
+    [[1, t], [0, 1]].
     """
     return _substitute(A, *g.entries())

@@ -16,6 +16,16 @@ with n the formal degree throughout.  Given (D0) and (D1), the bound (D2)
 is equivalent to its strict form at the interior indices 1..n-1 (no interior
 support point can lie on the segment); only the non-strict bound is
 implemented, and the tests check it against the strict form.
+
+On integer coefficients b_i, (D2) is a divisibility test, so is_ed values
+only the two endpoints:
+
+    (D2) at i  <=>  b_i = 0 or p^k_i | b_i,   k_i = ceil(((n-i) v(b_0) + i v(b_n)) / n).
+
+Proof: n v(b_i) >= (n-i) v(b_0) + i v(b_n) says v(b_i) >= ((n-i) v(b_0) +
+i v(b_n)) / n, and v(b_i) is an integer, so this is v(b_i) >= k_i, which
+for b_i != 0 is p^k_i | b_i.  As i runs from 0 to n, k_i runs monotonically
+from v(b_0) to v(b_n), so one power of p serves a whole run of indices.
 """
 
 from __future__ import annotations
@@ -106,9 +116,11 @@ class EDReport:
 def is_ed(A: FormalPoly, v: PAdic) -> EDReport:
     """Eisenstein-Dumas test (D0), (D1), (D2) at the formal degree of A.
 
-    The conditions are read from the valuations of A.nums.  Each is v(a_i) +
-    v(den), and the common term cancels: v0 - vn in (D1) is unchanged, and
-    (D2) gains n v(den) on both sides.
+    The conditions are read from A.nums.  Each valuation is v(a_i) + v(den),
+    and the common term cancels: v0 - vn in (D1) is unchanged, and (D2)
+    gains n v(den) on both sides.  Only v0 and vn are valued; (D2) at each
+    index is the divisibility test of the module docstring, and its first
+    failing index is the first index where that test fails.
     """
     n, nums = A.formal_degree, A.nums
     if nums[0] == 0 or nums[n] == 0:
@@ -117,8 +129,12 @@ def is_ed(A: FormalPoly, v: PAdic) -> EDReport:
     vn = v.val(nums[n])
     d1_gcd = math.gcd(v0 - vn, n)
     failing = None
-    for i, x in enumerate(nums):
-        if x and n * v.val(x) < (n - i) * v0 + i * vn:  # v(0) = infinity passes
+    k, pk = 0, 1  # k_i and p^k_i, recomputed only when k_i changes
+    for i in range(1, n):
+        ki = ((n - i) * v0 + i * vn + n - 1) // n
+        if ki != k:
+            k, pk = ki, v.p**ki
+        if nums[i] % pk:  # 0 % pk == 0: v(0) = infinity passes
             failing = i
             break
     return EDReport(

@@ -40,19 +40,41 @@ def _substitute(A: "FormalPoly", a: Rational | int, b: Rational | int,
 
     With alpha = A.nums, and lam the lcm of the denominators of a, b, c, d
     so that the entries become integers, sum alpha_i (ax+b)^i (cx+d)^(n-i)
-    is A.den lam^n times the result.  Horner on the binary form builds it as
-    P <- P (ax+b) + alpha_i (cx+d)^(n-i), i from n down to 0, keeping
-    R = (cx+d)^(n-i) as it goes: O(n^2) integer operations, then the result
-    is P over A.den lam^n, reduced once.
+    is A.den lam^n times the result, which is that sum over A.den lam^n,
+    reduced once.  The sum is built on integers in one of two ways:
+
+      * c = 0, the paper's triangular action (shears, scalings, U(A)):
+        sum alpha_i d^(n-i) (ax+b)^i is B(ax+b) with B(y) = sum alpha_i
+        d^(n-i) y^i, and B(ax+b) is B(y+b) at y = ax.  So scale alpha_i by
+        d^(n-i), Taylor-shift by the integer b by synthetic division (n^2/2
+        multiply-adds), and scale the coefficient of x^i by a^i.
+      * c != 0: Horner on the binary form, P <- P (ax+b) + alpha_i
+        (cx+d)^(n-i), i from n down to 0, keeping R = (cx+d)^(n-i) as it
+        goes: also O(n^2), but with three products per coefficient and step.
     """
     alpha = A.nums
+    n = len(alpha) - 1
     lam = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
     a, b, c, d = (x.numerator * (lam // x.denominator) for x in (a, b, c, d))
-    P, R = [alpha[-1]], [1]
-    for ai in reversed(alpha[:-1]):
-        R = [d * r + c * s for r, s in zip(R + [0], [0] + R)]
-        P = [b * p + a * q + ai * r for p, q, r in zip(P + [0], [0] + P, R)]
-    return FormalPoly(A.den * lam ** (len(alpha) - 1), tuple(P))
+    if c == 0:
+        P, dk = list(alpha), 1
+        for i in range(n, -1, -1):
+            P[i] *= dk
+            dk *= d
+        if b:
+            for i in range(n):
+                for k in range(n - 1, i - 1, -1):
+                    P[k] += b * P[k + 1]
+        ak = 1
+        for i in range(n + 1):
+            P[i] *= ak
+            ak *= a
+    else:
+        P, R = [alpha[-1]], [1]
+        for ai in reversed(alpha[:-1]):
+            R = [d * r + c * s for r, s in zip(R + [0], [0] + R)]
+            P = [b * p + a * q + ai * r for p, q, r in zip(P + [0], [0] + P, R)]
+    return FormalPoly(A.den * lam**n, tuple(P))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from edcert import (
     AuditEntry,
     CandidatePrimes,
     Certificate,
+    EDReport,
     Factorization,
     FormalPoly,
     Mat2,
@@ -98,6 +99,35 @@ def reference_is_ed_strict(A: FormalPoly, v: PAdic) -> bool:
     v0, vn = v.val(a[0]), v.val(a[n])
     return math.gcd(v0 - vn, n) == 1 and all(
         n * v.val(a[i]) > (n - i) * v0 + i * vn for i in range(1, n) if a[i] != 0
+    )
+
+
+def reference_int_val(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, one division per unit, as
+    valuation._int_val computed it before the squaring kernel."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def reference_is_ed(A: FormalPoly, p: int) -> EDReport:
+    """is_ed as it was before (D2) became a divisibility test: every nonzero
+    numerator is valued by reference_int_val, and (D2) fails at the first
+    index with n v(a_i) < (n-i) v(a_0) + i v(a_n)."""
+    n, nums = A.formal_degree, A.nums
+    if nums[0] == 0 or nums[n] == 0:
+        return EDReport(d0=False, d1=False, d2=False)
+    v0, vn = reference_int_val(nums[0], p), reference_int_val(nums[n], p)
+    d1_gcd = math.gcd(v0 - vn, n)
+    failing = None
+    for i, x in enumerate(nums):
+        if x and n * reference_int_val(x, p) < (n - i) * v0 + i * vn:
+            failing = i
+            break
+    return EDReport(
+        d0=True, d1=d1_gcd == 1, d2=failing is None, d1_gcd=d1_gcd, d2_failing_index=failing
     )
 
 

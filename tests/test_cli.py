@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import FormalPoly, Mat2, act
-from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError
+from edcert import CandidatePrimes, FormalPoly, Mat2, act
+from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _decimal
 from edcert.cli import (
     certificate_to_json,
     format_poly,
@@ -212,6 +212,34 @@ def test_certify_command(capsys, tmp_path):
     assert data["verdict"] == "inconclusive"
     assert data["prime"] is None and data["witness_coeffs"] is None
     assert any(entry["stage"] == 4 for entry in data["audit"])
+
+
+def test_certify_prints_all_of_its_text_or_none(capsys, monkeypatch, tmp_path):
+    # This quartic is irreducible by U(A) at p = 3, but U(A) has the
+    # denominator 256 * 10^4500, of 4503 digits, which neither the text nor
+    # the JSON can carry.  certify used to print four lines of the
+    # certificate and then exit with the interpreter's int-to-str error.
+    # The candidate primes are fixed to {3}, since factoring the endpoint
+    # ratios of this input takes about 10 s.
+    monkeypatch.setattr(
+        "edcert.certify.candidate_primes",
+        lambda A, rho_budget: CandidatePrimes(frozenset({3}), False),
+    )
+    path = tmp_path / "c.json"
+    text = "1" + "0" * 1500 + "x^4+x^3+x+4"
+    assert main(["certify", "--poly", text, "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.startswith("error: a certificate integer of ") and "int_max_str_digits" not in err
+    assert f"limit of {MAX_DIGITS} digits" in err and len(err) < 200
+
+
+def test_certificate_integers_are_written_up_to_the_digit_limit():
+    assert _decimal(10**MAX_DIGITS - 1) == "9" * MAX_DIGITS
+    assert _decimal(-(10**MAX_DIGITS - 1)) == "-" + "9" * MAX_DIGITS
+    for x in (10**MAX_DIGITS, -(10**MAX_DIGITS)):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_DIGITS} digits"):
+            _decimal(x)
 
 
 def test_certify_rejects_bad_input(capsys):

@@ -131,6 +131,27 @@ def test_action_matches_the_fraction_composition():
     assert seen == {(), (2,), (1,), (3,), (0,)}
 
 
+def test_triangular_branch_matches_the_fraction_composition():
+    # The c = 0 branch of the kernel (scale, integer synthetic division,
+    # scale) against the Fraction factorization, on 540 seeded
+    # upper-triangular matrices with rational entries and a != d, degrees
+    # 1-30: b = 0 (no shift) in a tenth of them, interior zeros, and formal
+    # degrees above the actual degree.  U(A), taylor_shift and every shear
+    # take this branch.
+    rng = random.Random(30301)
+    for k in range(540):
+        n = rng.randint(1, 30)
+        coeffs = [0 if rng.random() < 0.2 else nonzero_fraction(rng) for _ in range(n + 1)]
+        A = FormalPoly.from_coeffs(coeffs, formal_degree=n + rng.choice((0, 0, 0, 2)))
+        a = nonzero_fraction(rng)
+        d = a
+        while d == a:
+            d = nonzero_fraction(rng)
+        b = 0 if k % 10 == 0 else nonzero_fraction(rng, rng.choice((9, 10**6)))
+        g = Mat2(a, b, 0, d)
+        assert act(A, g) == reference_act(A, g), (A, g)
+
+
 def test_action_matches_elementary_transforms():
     # act and taylor_shift run the same kernel, so the shear line only checks
     # that they agree; test_taylor_shift_matches_binomial_expansion and the

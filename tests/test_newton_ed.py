@@ -12,12 +12,14 @@ from edcert import (
     is_ed,
     newton_polygon,
 )
+from edcert.certificate import _ed_report
 from helpers import (
     SMALL_PRIMES,
     padic,
     random_ed_polynomial,
     random_int_poly,
     random_p_content_poly,
+    reference_is_ed,
     reference_is_ed_strict,
 )
 
@@ -119,6 +121,43 @@ def test_dumas_random_pairs():
         A = random_int_poly(rng)
         B = random_int_poly(rng)
         assert dumas_concat_holds(A, B, padic(p))
+
+
+def test_is_ed_and_the_checker_match_valuing_every_coefficient():
+    # (D2) by divisibility, in is_ed and in the checker's own _ed_report,
+    # against the loop that values every coefficient, on 1200 seeded
+    # polynomials.  Each interior valuation sits within one of its bound
+    # ceil(((n-i) v0 + i vn) / n), or far above it, so (D2) fails at a spread
+    # of first indices; interior coefficients are zero with probability 0.15
+    # and every coefficient takes either sign.  p runs from 2 to 10^6 + 3, p
+    # divides n in about a third of the draws, endpoint valuations reach 2000,
+    # and den, a power of p times a unit, shifts every numerator valuation.
+    rng = random.Random(4242)
+    primes = (2, 3, 5, 7, 13, 1000003)
+    failing = set()
+    for k in range(1200):
+        p = rng.choice(primes)
+        n = rng.randint(1, 12)
+        if p < 50 and rng.random() < 0.35:
+            n = p * rng.randint(1, 3)
+        top = 2000 if k % 40 == 0 and p < 50 else 12
+        v0, vn = rng.randint(0, top), rng.randint(0, top)
+        nums = []
+        for i in range(n + 1):
+            if 0 < i < n and rng.random() < 0.15:
+                nums.append(0)
+                continue
+            bound = -(-((n - i) * v0 + i * vn) // n)
+            vi = v0 if i == 0 else vn if i == n else max(0, bound + rng.choice((-1, -1, 0, 1, 3)))
+            nums.append(rng.choice((-1, 1)) * p**vi * rng.randrange(1, 10**rng.choice((1, 6, 20))))
+        A = FormalPoly(p ** rng.randint(0, 3) * rng.randint(1, 50), tuple(nums))
+        expected = reference_is_ed(A, p)
+        assert is_ed(A, padic(p)) == expected, (p, A)
+        assert _ed_report(list(A.nums), p) == (
+            expected.d0, expected.d1, expected.d2, expected.d1_gcd, expected.d2_failing_index
+        ), (p, A)
+        failing.add(expected.d2_failing_index)
+    assert {None, 1, 2, 3} <= failing
 
 
 def test_lemma_21_equivalence_random():
