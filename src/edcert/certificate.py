@@ -27,14 +27,24 @@ equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
     F(ax+b, cx+d) / (D_A lam^n), so with omega the witness's integer form
     (D_W, omega) and Omega(x) = sum omega_i x^i, W = A g is the identity
     D_A lam^n Omega(x) = D_W F(ax+b, cx+d) between two integer polynomials of
-    degree at most n.  It holds if and only if it holds at the n+1 points
-    x = 0, 1, ..., n.
+    degree at most n.  For c = 0, the paper's triangular action and every
+    matrix the search writes (the identity at stage 1, the shear of U(A) at
+    stage 2), F(ax+b, d) = P(ax+b) with P(y) = sum alpha_i d^(n-i) y^i, so
+    the identity reads D_A lam^n omega_i = D_W a^i P_i for i = 0..n, where
+    P_i are the coefficients of P(y+b): a Taylor shift by synthetic
+    division, n^2/2 multiply-adds.  A full matrix (c != 0) would need a
+    reversal and a second shift as well; the search never writes one (orbit
+    lemma), but the format allows it, so there the identity is tested at
+    the n+1 points x = 0, 1, ..., n, which decide it: both sides have degree
+    at most n.  That costs 2(n+1)^2 multiply-adds.
   * (D0)-(D2) at p are read from the integer numerators omega_i = D_W w_i.
     Each valuation is v(D_W) + v(w_i), and the common term cancels:
     v(w_0) - v(w_n) is unchanged in (D1), and in (D2) it adds n v(D_W) to
     both sides of n v(w_i) >= (n-i) v(w_0) + i v(w_n).  Only omega_0 and
     omega_n are valued; (D2) at an interior index is a divisibility test
-    (see _ed_report).
+    (see _ed_report).  The stored report must equal the recomputed one in
+    type as well as in value: d0, d1 and d2 JSON booleans, gcd_value and
+    failing_index integers, or null where the recomputed value is None.
 
 Inconclusive certificates get a shape check only.  The checker is total: any
 malformed JSON value gives (False, reason), never an exception.  The only
@@ -89,27 +99,23 @@ def read_rational(text: str) -> tuple[int, int]:
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational {_clip(repr(text))}: expected an integer or 'int/int'")
+    num, den = m.groups()
     if len(text) > MAX_DIGITS:  # only then can a digit run be too long
-        _integer(m, 1), _integer(m, 2)
-    num, den = int(m[1]), int(m[2] or 1)
+        _check_digits(m, 1), _check_digits(m, 2)
+    num, den = int(num), int(den) if den else 1
     if den == 0:
         raise ValueError(f"invalid rational {_clip(repr(text))}: zero denominator")
     return num, den
 
 
-def _integer(m: re.Match, group: int | str) -> int | None:
-    """The integer in a group of m, None if absent; an empty group, or one of
-    more than MAX_DIGITS digits, is an error."""
+def _check_digits(m: re.Match, group: int) -> None:
+    """Refuse the digit run in a group of m if it has more than MAX_DIGITS
+    digits."""
     digits = m[group]
-    if digits == "":
-        raise PolyParseError("expected an integer", m.start(group))
-    if digits is None:
-        return None
-    if (size := len(digits.lstrip("+-"))) > MAX_DIGITS:
+    if digits is not None and (size := len(digits.lstrip("+-"))) > MAX_DIGITS:
         raise PolyParseError(
             f"integer of {size} digits exceeds the limit {MAX_DIGITS}", m.start(group)
         )
-    return int(digits)
 
 
 def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[int]]:
@@ -129,24 +135,35 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
     if pos == len(text):
         raise PolyParseError("empty polynomial", pos)
     terms: dict[int, tuple[int, int]] = {}
+    long_text = len(text) > MAX_DIGITS  # only then can a digit run be too long
     while pos < len(text):
         m = _TERM.match(text, pos)
-        if m["sign"] is None and terms:
+        sign, num, den, x, exp = m.groups()
+        if sign is None and terms:
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        if m["num"] is None and m["x"] is None:
+        if num is None and x is None:
             raise PolyParseError("expected a coefficient or 'x'", m.end())
-        num, den = _integer(m, "num"), _integer(m, "den")
+        if long_text:
+            _check_digits(m, 2)
+        if den == "":
+            raise PolyParseError("expected an integer", m.start(3))
+        if long_text:
+            _check_digits(m, 3)
+        den = int(den) if den else 1
         if den == 0:
-            raise PolyParseError("zero denominator", m.start("den"))
-        exp = _integer(m, "exp")
-        if exp is None:
-            exp = 1 if m["x"] else 0
-        elif exp > MAX_DEGREE:
+            raise PolyParseError("zero denominator", m.start(3))
+        if exp == "":
+            raise PolyParseError("expected an integer", m.start(5))
+        if long_text:
+            _check_digits(m, 5)
+        exp = (1 if x else 0) if exp is None else int(exp)
+        if exp > MAX_DEGREE:
             raise PolyParseError(
-                f"exponent {_clip(str(exp))} exceeds the limit {MAX_DEGREE}", m.start("exp")
+                f"exponent {_clip(str(exp))} exceeds the limit {MAX_DEGREE}", m.start(5)
             )
-        num = 1 if num is None else num
-        num, den = (-num if m["sign"] == "-" else num), den or 1
+        num = 1 if num is None else int(num)
+        if sign == "-":
+            num = -num
         if exp in terms:
             prev_num, prev_den = terms[exp]
             num, den = prev_num * den + num * prev_den, prev_den * den
@@ -167,7 +184,7 @@ def read_poly(text: str, formal_degree: int | None = None) -> tuple[int, list[in
 
 def _integer_form(rationals: list[tuple[int, int]]) -> tuple[int, list[int]]:
     """(D, [D num/den ...]) for (num, den) pairs, D the lcm of the den."""
-    D = math.lcm(*(den for _, den in rationals))
+    D = math.lcm(*[den for _, den in rationals])
     return D, [num * (D // den) for num, den in rationals]
 
 
@@ -279,12 +296,34 @@ def _binary_form(alpha: list[int], X: int, Y: int) -> int:
 def _acts_to(D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: list[int]) -> bool:
     """Whether the witness (Dw, omega) is the input (D, alpha) acted on by the
     matrix with integer entries g = lam * [a, b, c, d]: the identity
-    D lam^n Omega(k) = Dw F(ak+b, ck+d) at k = 0..n."""
+    D lam^n Omega(x) = Dw F(ax+b, cx+d) of the module docstring.
+
+    For c = 0, every matrix the search writes, it is checked coefficient by
+    coefficient: F(ax+b, d) = P(ax+b) with P(y) = sum alpha_i d^(n-i) y^i,
+    and the coefficients P_i of P(y+b), a Taylor shift by synthetic division,
+    give D lam^n omega_i = Dw a^i P_i for i = 0..n.  For c != 0 the
+    identity is tested at the points x = 0..n instead."""
     n = len(alpha) - 1
     if len(omega) != n + 1:
         return False
     a, b, c, d = g
     scale = D * lam**n
+    if c == 0:
+        P, dpow = alpha[:], 1
+        for i in range(n, -1, -1):
+            P[i] *= dpow
+            dpow *= d
+        if b:
+            for i in range(n):
+                acc = P[n]
+                for j in range(n - 1, i - 1, -1):
+                    acc = P[j] = P[j] + b * acc
+        apow = Dw
+        for w, Pi in zip(omega, P):
+            if scale * w != apow * Pi:
+                return False
+            apow *= a
+        return True
     for k in range(n + 1):
         value = 0
         for w in reversed(omega):
@@ -321,11 +360,13 @@ def _ed_report(omega: list[int], p: int) -> tuple[bool, bool, bool, int | None, 
 def validate_certificate_json(data: object) -> tuple[bool, str]:
     """Re-derive everything an irreducibility certificate claims.
 
-    Re-reads the input, decides witness = act(input, transform) by evaluation
-    at n+1 points, and re-derives the Eisenstein-Dumas report, comparing it
-    bit for bit with the stored one (see the module docstring).  Inconclusive
-    certificates only get a shape check.  Total: any malformed JSON value
-    gives (False, reason), never an exception.
+    Re-reads the input, decides witness = act(input, transform) coefficient
+    by coefficient for a triangular transform and by evaluation at n+1
+    points for a full one, and re-derives the Eisenstein-Dumas report,
+    comparing it bit for bit, in type as well as in value, with the stored
+    one (see the module docstring).  Inconclusive certificates only get a
+    shape check.  Total: any malformed JSON value gives (False, reason),
+    never an exception.
     """
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"
@@ -377,7 +418,8 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     keys = ("d0", "d1", "d2", "gcd_value", "failing_index")
     stored = tuple(report.get(key) for key in keys)
     fresh = _ed_report(omega, p)
-    if stored != fresh:
+    # by type as well as by value: a JSON 1 or 1.0 is not true, nor true 1
+    if stored != fresh or any(type(s) is not type(f) for s, f in zip(stored, fresh)):
         return False, f"stored report {_clip(str(stored))} disagrees with recomputed {fresh}"
     if not all(fresh[:3]):
         return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"

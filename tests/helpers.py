@@ -580,6 +580,32 @@ def reference_parse_poly(text: str, formal_degree: int | None = None) -> FormalP
     return fraction_poly([terms.get(k, Fraction(0)) for k in range(n + 1)])
 
 
+def reference_acts_to(
+    D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: list[int]
+) -> bool:
+    """certificate._acts_to as it was for every matrix before the triangular
+    identity: D lam^n Omega(k) = Dw F(ak+b, ck+d) at the n+1 points
+    k = 0..n, both sides by Horner's rule.  The differential test of the
+    checker's action compares _acts_to against it."""
+    n = len(alpha) - 1
+    if len(omega) != n + 1:
+        return False
+    a, b, c, d = g
+    scale = D * lam**n
+    for k in range(n + 1):
+        value = 0
+        for w in reversed(omega):
+            value = value * k + w
+        X, Y = a * k + b, c * k + d
+        form, Ypow = 0, 1
+        for ai in reversed(alpha):
+            form = form * X + ai * Ypow
+            Ypow *= Y
+        if scale * value != Dw * form:
+            return False
+    return True
+
+
 def reference_validate_certificate_json(data: object) -> tuple[bool, str]:
     """validate_certificate_json as it was before the integer checker, on
     the search's own act and is_ed.  The mutation fuzz compares

@@ -24,9 +24,11 @@ from edcert import (
 )
 from edcert.cli import parse_poly
 from helpers import (
+    nonzero_fraction,
     padic,
     random_dense_mat,
     random_ed_polynomial,
+    reference_acts_to,
     reference_validate_certificate_json,
 )
 
@@ -80,6 +82,76 @@ def test_checker_rejects_a_certificate_naming_psi13():
     assert validate_certificate_json(data) == (True, "witness is Eisenstein-Dumas at p = 1287836182261")
     data["prime"] = str(psi13)
     assert validate_certificate_json(data) == (False, f"malformed certificate: {psi13} is not prime")
+
+
+def test_stored_report_is_compared_by_type():
+    # 1 == 1.0 == True in Python, so a report of numbers for booleans, or a
+    # boolean for the gcd, compared equal to the recomputed one.
+    data = certificate_to_json(certify_search(parse_poly("x^2+4x+8")))
+    assert validate_certificate_json(data) == (True, "witness is Eisenstein-Dumas at p = 2")
+    fresh = "(True, True, True, 1, None)"
+    for key, value in [("d0", 1), ("d1", 1.0), ("d2", 1), ("gcd_value", True), ("gcd_value", 1.0)]:
+        report = {**data["report"], key: value}
+        stored = tuple(report[k] for k in ("d0", "d1", "d2", "gcd_value", "failing_index"))
+        assert validate_certificate_json({**data, "report": report}) == (
+            False, f"stored report {stored} disagrees with recomputed {fresh}"
+        ), (key, value)
+    report = {"d0": 1, "d1": 1.0, "d2": True, "gcd_value": True, "failing_index": None}
+    ok, reason = validate_certificate_json({**data, "report": report})
+    assert not ok and reason.startswith("stored report (1, 1.0, True, True, None) disagrees"), reason
+    # a witness with a zero endpoint recomputes to (False, False, False,
+    # None, None), and 0 == False as well
+    W = parse_poly("x^2+2x")
+    data = certificate_to_json(
+        Certificate(W, Verdict.IRREDUCIBLE, 2, 1, moebius.Mat2.identity(), W, is_ed(W, padic(2)))
+    )
+    refused = "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    assert validate_certificate_json(data) == (False, refused)
+    for key, value in [("d0", 0), ("d1", 0.0), ("d2", 0)]:
+        ok, reason = validate_certificate_json({**data, "report": {**data["report"], key: value}})
+        assert not ok and reason.startswith("stored report "), (key, value, reason)
+
+
+def _integer_parts(coeffs) -> tuple[int, list[int]]:
+    return certificate._integer_form([(c.numerator, c.denominator) for c in coeffs])
+
+
+def _action_case(rng: random.Random, triangular: bool):
+    """(input, matrix) with rational entries: upper triangular with a != d,
+    b = 0 one time in ten, or full; every entry of either sign."""
+    n = rng.randint(1, 30)
+    cs = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(n + 1)]
+    cs[n] = cs[n] or Fraction(rng.choice((-1, 1)))
+    A = FormalPoly.from_coeffs(cs)
+    if not triangular:
+        return A, random_dense_mat(rng, 12)
+    a, d = nonzero_fraction(rng, 12), nonzero_fraction(rng, 12)
+    while d == a:
+        d = nonzero_fraction(rng, 12)
+    b = Fraction(0) if rng.random() < 0.1 else nonzero_fraction(rng, 12)
+    return A, moebius.Mat2(a, b, 0, d)
+
+
+def test_triangular_identity_agrees_with_evaluation_at_n_plus_1_points():
+    # The checker decides W = A g for c = 0 coefficient by coefficient, by a
+    # Taylor shift of the scaled input; the reference evaluates both sides at
+    # n+1 points.  Each case is checked with its true witness, which both
+    # accept, and with one witness numerator moved by 1, which both refuse.
+    rng = random.Random(1701)
+    kinds = {"triangular": 0, "b = 0": 0, "full": 0}
+    for case in range(1200):
+        triangular = case % 6 != 5
+        A, g = _action_case(rng, triangular)
+        W = act(A, g)
+        lam, entries = _integer_parts(g.entries())
+        args = (A.den, list(A.nums), entries, lam)
+        nudged = list(W.nums)
+        nudged[rng.randrange(len(nudged))] += rng.choice((-1, 1))
+        for omega, want in ((list(W.nums), True), (nudged, False)):
+            assert reference_acts_to(*args, W.den, omega) is want, (A, g)
+            assert certificate._acts_to(*args, W.den, omega) is want, (A, g, omega)
+        kinds["full" if not triangular else "b = 0" if entries[1] == 0 else "triangular"] += 1
+    assert kinds["triangular"] > 800 and kinds["b = 0"] > 50 and kinds["full"] == 200, kinds
 
 
 def test_witness_strings_are_the_fractions_as_text():
@@ -242,14 +314,29 @@ def _refused_before_the_prime_test(got: tuple[bool, str], want: tuple[bool, str]
     )
 
 
+def _report_retyped(data, original) -> bool:
+    """Whether a report field of data equals the original's in value but not
+    in type, as _wrong_type's 1 for true or True for 1: the old checker
+    compared reports by value only."""
+    report, before = data.get("report"), original.get("report")
+    if not (isinstance(report, dict) and isinstance(before, dict)):
+        return False
+    return any(
+        k in report and report[k] == before[k] and type(report[k]) is not type(before[k])
+        for k in before
+    )
+
+
 def test_checker_agrees_with_the_frozen_reference_under_mutation():
     # 1050 certificates, each checked as written and under three random
     # mutations: the same ok every time, and the same reason except where the
-    # old reason is an interpreter message, or where the old checker refused
-    # a composite prime before the report that now refuses it.
+    # old reason is an interpreter message, where the old checker refused a
+    # composite prime before the report that now refuses it, or where a
+    # report field was swapped for an equal value of another type, which the
+    # old checker accepted and the checker refuses by its report.
     rng = random.Random(9)
     outcomes = {m.__name__: [0, 0] for m in MUTATIONS}
-    irreducible = python_messages = prime_last = 0
+    irreducible = python_messages = prime_last = retyped = 0
     for cert in _certificates(rng, 1050):
         irreducible += cert.irreducible
         text = json.dumps(certificate_to_json(cert))
@@ -266,13 +353,17 @@ def test_checker_agrees_with_the_frozen_reference_under_mutation():
             if _refused_before_the_prime_test(got, want):
                 prime_last += 1
                 want = got
+            if name == "_wrong_type" and want[0] and _report_retyped(data, variants[0][1]):
+                assert not got[0] and got[1].startswith("stored report "), (data, got)
+                retyped += 1
+                want = got
             assert got == want, (data, got, want)
             if name is None:
                 assert got[0], (data, got)
             else:
                 outcomes[name][got[0]] += 1
     assert irreducible > 900 and python_messages > 0, (irreducible, python_messages)
-    assert prime_last > 0, prime_last
+    assert prime_last > 0 and retyped > 0, (prime_last, retyped)
     # Every mutation ran and was mostly rejected.  Some are harmless: a key
     # dropped from an inconclusive certificate that must be null anyway, or a
     # neighbouring prime at which the witness is Eisenstein-Dumas too.

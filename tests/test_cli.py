@@ -130,6 +130,55 @@ def test_parsers_match_the_frozen_reference():
     assert len(kinds) == 8 and at_limit > 20 and rationals > 100_000, (kinds, at_limit)
 
 
+def _kind(outcome):
+    """An outcome of _outcome with every integer in its message, clipped or
+    not, read as N: the reference echoes a long exponent whole."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    kind, message, position = outcome
+    return kind, re.sub(r"[0-9]+(\.\.\. \([0-9]+ characters\))?", "N", message), position
+
+
+@pytest.mark.parametrize("size", [MAX_DIGITS, MAX_DIGITS + 1])
+def test_readers_on_both_sides_of_the_digit_check(size):
+    # The readers check the length of each digit run only in a text longer
+    # than MAX_DIGITS.  Every text here has exactly `size` characters, and
+    # each reads as the frozen reference reads it, error and position
+    # included.
+    sevens = lambda k: "7" * (size - k)  # noqa: E731
+    texts = [
+        f"{sevens(3)}x+1",  # long numerator
+        f"1/{sevens(2)}",  # long denominator
+        f"x^{sevens(2)}",  # long exponent, over MAX_DEGREE
+        f"{sevens(6)}x^1001",  # exponent over MAX_DEGREE
+        f"{sevens(2)}/x",  # empty denominator
+        f"{sevens(2)}x^",  # empty exponent
+        f"{sevens(2)}/0",  # zero denominator
+        f"1/{'0' * (size - 2)}",  # long zero denominator
+        f"x-{sevens(5)}/3x",  # long numerator after a term
+    ]
+    for text in texts:
+        assert len(text) == size
+        got = _outcome(parse_poly, text)
+        assert _kind(got) == _kind(_outcome(reference_parse_poly, text)), text[:30]
+        assert isinstance(got, FormalPoly) or got[0] is PolyParseError, got
+    rationals = [sevens(0), f"-{sevens(1)}", f"{sevens(2)}/3", f"1/{sevens(2)}", f"{sevens(2)}/0"]
+    for text in rationals + [f"{sevens(1)}/"]:
+        assert len(text) == size
+        got, want = _outcome(parse_rational, text), _outcome(reference_parse_rational, text)
+        if size == MAX_DIGITS or text != sevens(0):
+            both_refuse = isinstance(got, tuple) and isinstance(want, tuple) and got[0] is want[0]
+            assert got == want or both_refuse, text[:30]
+    if size > MAX_DIGITS:
+        # one run of MAX_DIGITS + 1 digits: the reference stops at int()'s
+        # own limit at the same place
+        message = f"integer of {size} digits exceeds the limit {MAX_DIGITS} (at position 0)"
+        for parse in (parse_poly, parse_rational):
+            assert _outcome(parse, sevens(0)) == (PolyParseError, message, 0)
+        with pytest.raises(ValueError, match=f"{size} digits"):
+            reference_parse_poly(sevens(0))
+
+
 def test_formal_degree_override():
     A = parse_poly("x^2 + 1", formal_degree=5)
     assert A.formal_degree == 5 and A.actual_degree == 2
