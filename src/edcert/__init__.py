@@ -20,7 +20,7 @@ from .certify import (
     phi,
     upper_transform,
 )
-from .exact_arith import Factorization, Rational, factor, is_probable_prime
+from .exact_arith import Factorization, factor, is_probable_prime
 from .moebius import Mat2, act
 from .newton_ed import (
     EDReport,
@@ -45,7 +45,6 @@ __all__ = [
     "Mat2",
     "NewtonPolygon",
     "PAdic",
-    "Rational",
     "SearchConfig",
     "Segment",
     "Verdict",

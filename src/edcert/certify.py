@@ -37,10 +37,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import DEFAULT_RHO_BUDGET, Rational, factor
+from ._record import Record, _set
+from .exact_arith import DEFAULT_RHO_BUDGET, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly, _form_at, _substitute
@@ -77,7 +77,7 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     return m, act(A, m)
 
 
-def phi(A: FormalPoly, t: Rational | int) -> Fraction:
+def phi(A: FormalPoly, t: Fraction | int) -> Fraction:
     """The family parameter map t - n * A(t) / A'(t); needs A'(t) != 0."""
     deriv = A.derivative().eval(t)
     if deriv == 0:
@@ -85,7 +85,7 @@ def phi(A: FormalPoly, t: Rational | int) -> Fraction:
     return t - A.formal_degree * A.eval(t) / deriv
 
 
-def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly]:
+def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly]:
     """Member [[t, phi(t)], [1, 1]] of the one-parameter family, applied to A.
 
     The determinant is t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected
@@ -95,12 +95,14 @@ def one_param_member(A: FormalPoly, t: Rational | int) -> tuple[Mat2, FormalPoly
     return m, act(A, m)
 
 
-@dataclass(frozen=True)
-class CandidatePrimes:
+class CandidatePrimes(Record):
     """Primes that could possibly admit a witness, plus a completeness flag."""
 
-    primes: frozenset[int]
-    complete: bool
+    __slots__ = ("primes", "complete")
+
+    def __init__(self, primes: frozenset[int], complete: bool):
+        _set(self, "primes", primes)
+        _set(self, "complete", complete)
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -188,15 +190,15 @@ def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
     return _substitute(A, a * Q, b * P, b * Q, b * Q)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Knobs for certify_search; the defaults reproduce the documented search."""
 
-    rho_budget: int = DEFAULT_RHO_BUDGET
+    __slots__ = ("rho_budget",)
 
-    def __post_init__(self):
-        if self.rho_budget < 1:
-            raise ValueError(f"rho_budget must be at least 1, got {self.rho_budget}")
+    def __init__(self, rho_budget: int = DEFAULT_RHO_BUDGET):
+        if rho_budget < 1:
+            raise ValueError(f"rho_budget must be at least 1, got {rho_budget}")
+        _set(self, "rho_budget", rho_budget)
 
 
 class Verdict(enum.Enum):
@@ -204,33 +206,36 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Record):
     """One failure record: which prime, which stage, and why.
 
     Stage 0 carries prime-level notes (e.g. why later stages were skipped).
     """
 
-    prime: int
-    stage: int
-    reason: str
+    __slots__ = ("prime", "stage", "reason")
+
+    def __init__(self, prime: int, stage: int, reason: str):
+        _set(self, "prime", prime)
+        _set(self, "stage", stage)
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Search outcome.  For an irreducible verdict the witness fields are the
     machine-checkable proof: witness = act(input, transform) is
     Eisenstein-Dumas at the stated prime, hence the input is irreducible."""
 
-    input: FormalPoly
-    verdict: Verdict
-    prime: int | None = None
-    stage: int | None = None
-    transform: Mat2 | None = None
-    witness: FormalPoly | None = None
-    report: EDReport | None = None
-    audit: tuple[AuditEntry, ...] = ()
-    candidate_primes_complete: bool = True
+    __slots__ = ("input", "verdict", "prime", "stage", "transform", "witness", "report", "audit",
+                 "candidate_primes_complete")
+
+    def __init__(self, input: FormalPoly, verdict: Verdict, prime: int | None = None,
+                 stage: int | None = None, transform: Mat2 | None = None,
+                 witness: FormalPoly | None = None, report: EDReport | None = None,
+                 audit: tuple[AuditEntry, ...] = (), candidate_primes_complete: bool = True):
+        values = (input, verdict, prime, stage, transform, witness, report, audit,
+                  candidate_primes_complete)
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
 
     @property
     def irreducible(self) -> bool:

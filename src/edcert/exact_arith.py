@@ -2,10 +2,9 @@
 
 Python integers are already arbitrary-precision sign/magnitude values, and
 ``fractions.Fraction`` is an exact rational that normalizes eagerly on
-construction (gcd-reduced, positive denominator, zero is 0/1).  This module
-re-exports them under the names the rest of the package uses and adds the
-one piece the standard library lacks: integer factorization with an explicit
-effort budget.
+construction (gcd-reduced, positive denominator, zero is 0/1); the package
+uses both as they are.  This module adds the one piece the standard library
+lacks: integer factorization with an explicit effort budget.
 
 Factorization strategy: trial division up to a bound, then Brent's variant
 of Pollard's rho on the remaining cofactor, with Miller-Rabin classifying
@@ -30,10 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-Rational = Fraction
+from ._record import Record, _set
 
 # Deterministic Miller-Rabin witness set: the first 13 primes prove primality
 # for all n < 3.3 * 10**24 (Sorenson & Webster; the first 12 stop at
@@ -193,8 +190,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     return 0, used
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Multiset of (prime, exponent) pairs plus an unfactored cofactor.
 
     ``cofactor`` is 1 when the factorization is complete; otherwise it is a
@@ -202,8 +198,11 @@ class Factorization:
     the product of all prime powers times ``cofactor`` equals |n|.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
+    __slots__ = ("factors", "cofactor")
+
+    def __init__(self, factors: tuple[tuple[int, int], ...], cofactor: int = 1):
+        _set(self, "factors", factors)
+        _set(self, "cofactor", cofactor)
 
     @property
     def complete(self) -> bool:

@@ -13,33 +13,31 @@ what makes this a genuine right action on formal-degree-n polynomials.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import Rational
+from ._record import Record, _set
 from .poly import FormalPoly, _substitute
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Nonsingular 2x2 rational matrix [[a, b], [c, d]]."""
+class Mat2(Record):
+    """Nonsingular 2x2 rational matrix [[a, b], [c, d]]; integer entries are
+    stored as Fractions."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            if not isinstance(x := getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(operator.index(x)))
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __init__(self, a: Fraction | int, b: Fraction | int, c: Fraction | int, d: Fraction | int):
+        a, b, c, d = (x if isinstance(x, Fraction) else Fraction(operator.index(x))
+                      for x in (a, b, c, d))
         # ad = bc with the denominators cleared, so no Fraction is built
         if (
             a.numerator * d.numerator * b.denominator * c.denominator
             == b.numerator * c.numerator * a.denominator * d.denominator
         ):
             raise ValueError("matrix is singular")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @property
     def det(self) -> Fraction:
@@ -55,7 +53,7 @@ class Mat2:
         return cls(0, 1, 1, 0)
 
     @classmethod
-    def shear(cls, t: Rational | int) -> "Mat2":
+    def shear(cls, t: Fraction | int) -> "Mat2":
         """Upper shear [[1, t], [0, 1]]; acting by it is the Taylor shift by t."""
         return cls(1, t, 0, 1)
 

@@ -31,31 +31,35 @@ from v(b_0) to v(b_n), so one power of p serves a whole run of indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .poly import FormalPoly
 from .valuation import PAdic
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One side of a polygon: exact slope and horizontal length."""
 
-    slope: Fraction
-    length: int
+    __slots__ = ("slope", "length")
+
+    def __init__(self, slope: Fraction, length: int):
+        _set(self, "slope", slope)
+        _set(self, "length", length)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex hull of the support points of a polynomial.
 
     Vertex indices are strictly increasing from the smallest support index
     to the largest; segment slopes are strictly increasing left to right.
     """
 
-    vertices: tuple[tuple[int, int], ...]
-    segments: tuple[Segment, ...]
+    __slots__ = ("vertices", "segments")
+
+    def __init__(self, vertices: tuple[tuple[int, int], ...], segments: tuple[Segment, ...]):
+        _set(self, "vertices", vertices)
+        _set(self, "segments", segments)
 
     def slope_lengths(self) -> dict[Fraction, int]:
         """Total horizontal length per slope (the slope multiset)."""
@@ -92,8 +96,7 @@ def newton_polygon(A: FormalPoly, v: PAdic) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), segments)
 
 
-@dataclass(frozen=True)
-class EDReport:
+class EDReport(Record):
     """Outcome of the Eisenstein-Dumas conditions on one polynomial.
 
     d1_gcd is the witness gcd(v(a_0) - v(a_n), n); d2_failing_index is the
@@ -102,11 +105,15 @@ class EDReport:
     witnesses rather than evaluated.
     """
 
-    d0: bool
-    d1: bool
-    d2: bool
-    d1_gcd: int | None = None
-    d2_failing_index: int | None = None
+    __slots__ = ("d0", "d1", "d2", "d1_gcd", "d2_failing_index")
+
+    def __init__(self, d0: bool, d1: bool, d2: bool,
+                 d1_gcd: int | None = None, d2_failing_index: int | None = None):
+        _set(self, "d0", d0)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "d1_gcd", d1_gcd)
+        _set(self, "d2_failing_index", d2_failing_index)
 
     @property
     def verdict(self) -> bool:

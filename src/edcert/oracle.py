@@ -16,21 +16,23 @@ production factorizer, and it is not exported from the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .exact_arith import factor
 from .poly import FormalPoly
 
 MAX_ORACLE_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Record):
     """Verdict plus, when reducible, a pair of integer factors whose product
     is exactly the primitive integer form of the input."""
 
-    irreducible: bool
-    witness: tuple[FormalPoly, FormalPoly] | None = None
+    __slots__ = ("irreducible", "witness")
+
+    def __init__(self, irreducible: bool, witness: tuple[FormalPoly, FormalPoly] | None = None):
+        _set(self, "irreducible", irreducible)
+        _set(self, "witness", witness)
 
 
 def primitive_integer_form(A: FormalPoly) -> list[int]:

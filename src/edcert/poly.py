@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .exact_arith import Rational
+from ._record import Record, _set
 
 
 def _form_at(alpha: Sequence[int], u: int, w: int) -> int:
@@ -33,8 +32,8 @@ def _form_at(alpha: Sequence[int], u: int, w: int) -> int:
     return F
 
 
-def _substitute(A: "FormalPoly", a: Rational | int, b: Rational | int,
-                c: Rational | int, d: Rational | int) -> "FormalPoly":
+def _substitute(A: "FormalPoly", a: Fraction | int, b: Fraction | int,
+                c: Fraction | int, d: Fraction | int) -> "FormalPoly":
     """(cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A), for ad != bc:
     the binary form of A at (ax+b, cx+d).
 
@@ -77,26 +76,24 @@ def _substitute(A: "FormalPoly", a: Rational | int, b: Rational | int,
     return FormalPoly(A.den * lam**n, tuple(P))
 
 
-@dataclass(frozen=True)
-class FormalPoly:
+class FormalPoly(Record):
     """a_i = nums[i] / den for i = 0..n, so len(nums) fixes the formal degree
     n; any den != 0 and integer nums are accepted and stored reduced."""
 
-    den: int
-    nums: tuple[int, ...]
+    __slots__ = ("den", "nums")
 
-    def __post_init__(self):
-        if not self.nums:
+    def __init__(self, den: int, nums: Sequence[int]):
+        if not nums:
             raise ValueError("coefficient vector must have at least one entry")
-        if self.den == 0:
+        if den == 0:
             raise ValueError("zero denominator")
-        g = math.gcd(self.den, *self.nums) * (1 if self.den > 0 else -1)
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+        _set(self, "den", den // g)
+        _set(self, "nums", tuple(x // g for x in nums))
 
     @classmethod
     def from_coeffs(
-        cls, coeffs: Iterable[Rational | int], formal_degree: int | None = None
+        cls, coeffs: Iterable[Fraction | int], formal_degree: int | None = None
     ) -> "FormalPoly":
         """Build from a_0.. upward, optionally zero-padding to a larger formal degree."""
         cs = [c if isinstance(c, Fraction) else operator.index(c) for c in coeffs] or [0]
@@ -147,7 +144,7 @@ class FormalPoly:
 
     __mul__ = mul
 
-    def eval(self, t: Rational | int) -> Fraction:
+    def eval(self, t: Fraction | int) -> Fraction:
         """Exact value at t, by Horner's rule on integers.
 
         With t = p/q, the sum of nums_i p^i q^(n-i) is an integer (the
@@ -163,7 +160,7 @@ class FormalPoly:
             return FormalPoly.zero(0)
         return FormalPoly(self.den, tuple(i * x for i, x in enumerate(self.nums) if i > 0))
 
-    def taylor_shift(self, t: Rational | int) -> "FormalPoly":
+    def taylor_shift(self, t: Fraction | int) -> "FormalPoly":
         """A(x + t) at the same formal degree; leading coefficient unchanged.
 
         The action of the shear [[1, t], [0, 1]]: O(n^2) integer operations.
@@ -176,7 +173,7 @@ class FormalPoly:
         """Coefficient reversal with respect to the formal degree (an involution)."""
         return FormalPoly(self.den, self.nums[::-1])
 
-    def scale_arg(self, t: Rational | int) -> "FormalPoly":
+    def scale_arg(self, t: Fraction | int) -> "FormalPoly":
         """A(t*x): a_i -> a_i * t^i.  Requires t != 0."""
         if t == 0:
             raise ValueError("scale_arg requires t != 0")
@@ -187,7 +184,7 @@ class FormalPoly:
             tuple(x * p**i * q ** (n - i) for i, x in enumerate(self.nums)),
         )
 
-    def scale_all(self, t: Rational | int) -> "FormalPoly":
+    def scale_all(self, t: Fraction | int) -> "FormalPoly":
         """t * A(x).  Requires t != 0."""
         if t == 0:
             raise ValueError("scale_all requires t != 0")

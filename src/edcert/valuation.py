@@ -18,10 +18,11 @@ characteristic divides n" is exactly the divisibility test p | n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
+from ._record import Record, _set
 from .certificate import _clip
-from .exact_arith import Rational, is_probable_prime
+from .exact_arith import is_probable_prime
 
 
 def _int_val(n: int, p: int) -> int:
@@ -62,18 +63,18 @@ def _int_val(n: int, p: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PAdic:
+class PAdic(Record):
     """The p-adic valuation v_p on Q, with primality of p checked up front
     (deterministically below 3.3e24, see is_probable_prime)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_probable_prime(self.p):
-            raise ValueError(f"{_clip(str(self.p))} is not prime")
+    def __init__(self, p: int):
+        if not is_probable_prime(p):
+            raise ValueError(f"{_clip(str(p))} is not prime")
+        _set(self, "p", p)
 
-    def val(self, q: Rational | int) -> int:
+    def val(self, q: Fraction | int) -> int:
         """v_p(q) for q != 0, possibly negative; ValueError for q = 0."""
         if q == 0:
             raise ValueError("the valuation of 0 is infinite")

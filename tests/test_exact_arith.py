@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from edcert import Factorization, PAdic, Rational, exact_arith, factor, is_probable_prime
+from edcert import Factorization, PAdic, exact_arith, factor, is_probable_prime
 from helpers import reference_factor
 
 
@@ -261,10 +261,10 @@ def test_strong_lucas_test_fails_only_at_its_known_pseudoprimes():
 
 
 def test_rational_normalization():
-    q = Rational(-2, -4)
+    q = Fraction(-2, -4)
     assert q.numerator == 1 and q.denominator == 2
-    assert Rational(0, 17) == Rational(0, 1)
-    assert Rational(6, -4).denominator == 2
+    assert Fraction(0, 17) == Fraction(0, 1)
+    assert Fraction(6, -4).denominator == 2
 
 
 rationals = st.fractions(max_denominator=50)
