@@ -47,8 +47,10 @@ equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
     failing_index integers, or null where the recomputed value is None.
 
 Inconclusive certificates get a shape check only.  The checker is total: any
-malformed JSON value gives (False, reason), never an exception.  The only
-import from the rest of the package is the primality test.
+malformed JSON value gives (False, reason), never an exception.  Below psi_13
+it tests the stated prime with its own Miller-Rabin, all 13 prime bases up to
+41, which is a proof there (Sorenson & Webster, Math. Comp. 2017).  The only
+import from the rest of the package is the BPSW test it runs from psi_13 on.
 """
 
 from __future__ import annotations
@@ -66,6 +68,33 @@ MAX_DEGREE = 1000
 #: Most digits in one integer literal read or printed: the interpreter's
 #: default limit on conversions between int and str.
 MAX_DIGITS = 4300
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least odd composite passing all 13
+
+
+def _is_prime(p: int) -> bool:
+    """Primality of p >= 2: Miller-Rabin with the 13 bases below psi_13, the
+    package's BPSW test from there on."""
+    if p >= _PSI_13:
+        return is_probable_prime(p)
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _clip(text: str) -> str:
@@ -424,6 +453,6 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     if not all(fresh[:3]):
         return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
     # Last, as the one costly test: for n >= 2, D1 at p means p | omega_0 omega_n.
-    if not is_probable_prime(p):
+    if not _is_prime(p):
         return False, f"malformed certificate: {_clip(str(p))} is not prime"
     return True, f"witness is Eisenstein-Dumas at p = {p}"

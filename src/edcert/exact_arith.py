@@ -19,25 +19,55 @@ divide n, so a range without a factor costs one gcd instead of a division per
 odd number, and a range with one is divided only while d^2 <= g.  The table
 is built by a segmented sieve one range at a time, only as far as some call's
 trial division has reached; nothing is built at import, and only the products
-are kept, not the primes.  A cofactor that has no prime factor below its
-square root (known after a range), or that Miller-Rabin proves prime (below
-psi_13, about 3.3e24), ends the walk early.
+are kept, with the primes of the first range, [2, 4096): a g from that range
+is split over its 564 primes rather than every integer up to sqrt(g).  A
+cofactor that has no prime factor below its square root (known after a
+range), or that Miller-Rabin proves prime (below psi_13, about 3.3e24), ends
+the walk early.
+
+Primality: psi_k, the least odd composite that passes strong probable-prime
+tests to all of the first k prime bases (OEIS A014233), is
+
+    k       psi_k                          bases run for psi_(k-1) <= n < psi_k
+    1       2047                           2
+    2       1373653                        2, 3
+    3       25326001                       2 .. 5
+    4       3215031751                     2 .. 7
+    5       2152302898747                  2 .. 11
+    6       3474749660383                  2 .. 13
+    7, 8    341550071728321                2 .. 17
+    9..11   3825123056546413051            2 .. 23
+    12      318665857834031151167461       2 .. 37
+    13      3317044064679887385961981      2 .. 41
+
+(Pomerance, Selfridge & Wagstaff, Math. Comp. 1980, and Jaeschke, Math. Comp.
+1993, for k <= 8; Jiang & Deng, Math. Comp. 2014, for k = 9..11; Sorenson &
+Webster, Math. Comp. 2017, for k = 12, 13.)  So below psi_13 the first k
+bases, k the least with n < psi_k, prove primality, and is_probable_prime
+runs only those; from psi_13 on it runs all 13 and a strong Lucas test.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 
 from ._record import Record, _set
 
-# Deterministic Miller-Rabin witness set: the first 13 primes prove primality
-# for all n < 3.3 * 10**24 (Sorenson & Webster; the first 12 stop at
-# 318665857834031151167461).  psi_13 itself passes all 13 bases, so from there
-# on a strong Lucas test is added, which makes the test BPSW.
+# The first 13 prime bases and psi_1 .. psi_13 (see the module docstring):
+# Miller-Rabin with _MR_BASES[:k] is a proof for n < _PSI[k - 1].  psi_13
+# itself passes all 13 bases, so from there on a strong Lucas test is added,
+# which makes the test BPSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BELOW = 3317044064679887385961981  # psi_13, the exact bound above
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+_MR_PROVEN_BELOW = _PSI[-1]
 
 TRIAL_BOUND = 10**6
 DEFAULT_RHO_BUDGET = 500_000
@@ -47,6 +77,8 @@ _SEGMENT_WIDTH = 4096
 # Extended without a lock: two threads extending it at once can append a
 # range twice, which factor() walks through again without effect.
 _SEGMENTS: list[tuple[int, int, int]] = []
+# The primes of the first range, [2, _SEGMENT_WIDTH), kept when it is sieved.
+_FIRST_PRIMES: list[int] = []
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -104,10 +136,22 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test with the first 13 prime bases, which is a
-    proof below psi_13 ~ 3.3e24; from psi_13 on a strong Lucas test is added
-    (BPSW: Baillie & Wagstaff, Math. Comp. 1980), with no known
-    counterexample."""
+    """Miller-Rabin primality test with the first k prime bases, k the least
+    with n < psi_k, which is a proof below psi_13 ~ 3.3e24:
+
+        n below          2047  1373653  25326001  3215031751  2152302898747
+        bases            2     2, 3     2 .. 5    2 .. 7      2 .. 11
+
+        n below          3474749660383  341550071728321  3825123056546413051
+        bases            2 .. 13        2 .. 17          2 .. 23
+
+        n below          318665857834031151167461  3317044064679887385961981
+        bases            2 .. 37                   2 .. 41
+
+    (OEIS A014233; Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
+    2014; Sorenson & Webster, Math. Comp. 2017).  From psi_13 on all 13 bases
+    run and a strong Lucas test is added (BPSW: Baillie & Wagstaff, Math.
+    Comp. 1980), with no known counterexample."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -118,7 +162,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -152,7 +196,10 @@ def _extend_segments() -> None:
     for p in _primes_below(math.isqrt(hi - 1) + 1):
         start = max(p * p, -(-lo // p) * p)
         sieve[start - lo :: p] = bytes(len(range(start, hi, p)))
-    _SEGMENTS.append((lo, hi, math.prod(itertools.compress(range(lo, hi), sieve))))
+    primes = list(itertools.compress(range(lo, hi), sieve))
+    if lo == 2:
+        _FIRST_PRIMES[:] = primes
+    _SEGMENTS.append((lo, hi, math.prod(primes)))
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
@@ -221,17 +268,18 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     starting above the square root of what is left.  In a range [lo, hi), let
     top = min(hi, TRIAL_BOUND + 1).  g = gcd(n, product of the range's primes)
     is squarefree, and its primes are stripped from n in ascending order while
-    d^2 <= g: a composite d never divides g, as g's primes lie in the range
-    and those below d are already stripped from it.  What is left of g is then
-    1, one prime, or a product of primes above the bound; a single prime below
-    top is stripped at once.  No prime above TRIAL_BOUND is stripped, even
-    where the last range holds it: the cofactor that rho starts from, and the
-    seed of its generator, are then those of division by every number up to
-    the bound.  After a range every prime below top is stripped, so a cofactor
-    below top^2 is 1 or a prime, and the walk ends there.  A cofactor proven
-    prime after the first range, or after one that divided n, ends it too,
-    with the result the full walk would give: no later range divides it, and
-    it is then recorded as a prime either way.  Raises ValueError for n == 0.
+    d^2 <= g, d running over the range's primes in the first range and over
+    every integer in the others: a composite d never divides g, as g's primes
+    lie in the range and those below d are already stripped from it.  What is
+    left of g is then 1, one prime, or a product of primes above the bound; a
+    single prime below top is stripped at once.  No prime above TRIAL_BOUND is
+    stripped, even where the last range holds it: the cofactor that rho starts
+    from, and the seed of its generator, are then those of division by every
+    number up to the bound.  After a range every prime below top is stripped,
+    so a cofactor below top^2 is 1 or a prime, and the walk ends there.  A
+    cofactor proven prime after the first range, or after one that divided n,
+    ends it too, with the result the full walk would give: no later range
+    divides it, and it is then recorded as a prime either way.  Raises ValueError for n == 0.
     The randomized stage is seeded from the cofactor trial division leaves,
     so results are reproducible run to run.
     """
@@ -252,7 +300,7 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         check_prime = i == 0 or g > 1
         primes = []
         if g > 1:
-            for d in range(lo, top):
+            for d in _FIRST_PRIMES if i == 0 else range(lo, top):
                 if d * d > g:
                     break
                 if g % d == 0:

@@ -31,7 +31,7 @@ from edcert import (
 from edcert.certify import _failure_reason
 from edcert.certificate import MAX_DEGREE, PolyParseError
 from edcert.cli import parse_poly, parse_rational
-from edcert.exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, is_probable_prime
+from edcert.exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, _strong_lucas
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -237,6 +237,80 @@ def _reference_brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, 
     return 0, used
 
 
+# psi_1 .. psi_13: psi_k is the least odd composite that is a strong
+# probable prime to each of the first k prime bases (OEIS A014233).
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+_REFERENCE_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def reference_is_probable_prime(n: int) -> bool:
+    """is_probable_prime as it was before it graded its bases by psi_k:
+    Miller-Rabin with all 13 prime bases up to 41 whatever n is, and from
+    psi_13 on the strong Lucas test as well.  The differential tests compare
+    is_probable_prime, the checker's own test and factor() against it."""
+    if n < 2:
+        return False
+    for p in _REFERENCE_MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _REFERENCE_MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < PSI[-1]:
+        return True
+    return math.isqrt(n) ** 2 != n and _strong_lucas(n)
+
+
+def primality_draws() -> list[int]:
+    """Inputs for the differential primality tests: psi_k - 2, psi_k and
+    psi_k + 2 for every k; Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1)
+    with no prime factor up to 41, which pass every Fermat test; and per band
+    [psi_(k-1), psi_k) (psi_0 = 3), and above psi_13 up to 10^30, seeded
+    draws of three kinds: odd numbers, the next prime above one, and products
+    of two primes, one of them below the square root of the band's end."""
+    rng = random.Random(2047)
+
+    def next_prime(m: int) -> int:
+        m |= 1
+        while not reference_is_probable_prime(m):
+            m += 2
+        return m
+
+    draws = [psi + e for psi in PSI for e in (-2, 0, 2)]
+    for k in range(7, 400):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(map(reference_is_probable_prime, factors)):
+            draws.append(math.prod(factors))
+    ends = (3,) + PSI + (10**30,)
+    for lo, hi in zip(ends, ends[1:]):
+        if lo == hi:
+            continue
+        for _ in range(40):
+            draws.append(rng.randrange(lo, hi) | 1)
+        for _ in range(10):
+            draws.append(next_prime(rng.randrange(lo, hi)))
+            p = next_prime(rng.randrange(2, math.isqrt(hi)))
+            draws.append(p * next_prime(rng.randrange(max(2, lo // p), hi // p)))
+    return draws
+
+
 def reference_factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """factor() as it was before trial division moved to blocks of sieved
     primes: division by 2 and every odd number up to the bound, then the
@@ -263,7 +337,7 @@ def reference_factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factori
             stack = [n]
             while stack:
                 m = stack.pop()
-                if is_probable_prime(m):
+                if reference_is_probable_prime(m):
                     found[m] = found.get(m, 0) + 1
                     continue
                 g, used = _reference_brent_rho(m, rng, budget)

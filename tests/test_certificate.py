@@ -24,11 +24,14 @@ from edcert import (
 )
 from edcert.cli import parse_poly
 from helpers import (
+    PSI,
     nonzero_fraction,
     padic,
+    primality_draws,
     random_dense_mat,
     random_ed_polynomial,
     reference_acts_to,
+    reference_is_probable_prime,
     reference_validate_certificate_json,
 )
 
@@ -82,6 +85,30 @@ def test_checker_rejects_a_certificate_naming_psi13():
     assert validate_certificate_json(data) == (True, "witness is Eisenstein-Dumas at p = 1287836182261")
     data["prime"] = str(psi13)
     assert validate_certificate_json(data) == (False, f"malformed certificate: {psi13} is not prime")
+    # Every psi_k passes the first k prime bases.  x^2 + psi_k with the
+    # identity transform is Eisenstein at psi_k, so only the checker's
+    # primality test refuses it; at the largest prime below psi_k it passes.
+    for psi in PSI:
+        p = psi - 2
+        while not reference_is_probable_prime(p):
+            p -= 2
+        for q, want in ((psi, (False, f"malformed certificate: {psi} is not prime")),
+                        (p, (True, f"witness is Eisenstein-Dumas at p = {p}"))):
+            data = {
+                "input": f"x^2 + {q}", "formal_degree": 2, "verdict": "irreducible", "prime": str(q),
+                "transform": ["1", "0", "0", "1"], "witness_coeffs": [str(q), "0", "1"],
+                "report": {"d0": True, "d1": True, "d2": True, "gcd_value": 1, "failing_index": None},
+                "audit": [],
+            }
+            assert validate_certificate_json(data) == want, q
+
+
+def test_checker_primality_test_agrees_with_the_package():
+    # The checker's own 13-base Miller-Rabin below psi_13, against the
+    # package's graded test, on every n below 10^5 and on the draws around
+    # and between the psi_k.
+    for n in list(range(2, 10**5)) + primality_draws():
+        assert certificate._is_prime(n) == is_probable_prime(n), n
 
 
 def test_stored_report_is_compared_by_type():

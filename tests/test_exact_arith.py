@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edcert import Factorization, PAdic, exact_arith, factor, is_probable_prime
-from helpers import reference_factor
+from helpers import PSI, primality_draws, reference_factor, reference_is_probable_prime
 
 
 def test_factor_examples():
@@ -161,6 +162,10 @@ def test_factor_stops_dividing_a_range_at_the_square_root_of_its_gcd():
     cases = [
         4093 * big, 4091 * big, 4093 * 4091 * big, 2 * 4093 * big**2,
         4091 * 4093, 4093**2, 4093**3, 3 * 4091**2 * 4093,
+        # several primes between 1000 and 4096, which the first range splits
+        # over its primes: 2^2 * 3 * 1301 * 1867 is an endpoint value of a
+        # mixed-lowdeg input
+        29147604, 1021 * 2039 * 4093, 4091 * 4093 * big,
     ]
     # cofactors just below and above 4096^2 and 8192^2, the squares of the
     # ends of the first two ranges, with a factor from the first range
@@ -248,6 +253,33 @@ def test_strong_pseudoprime_to_all_thirteen_prime_bases_is_rejected():
     assert all(is_probable_prime(2**k - 1) for k in (89, 107, 127))
     fz = factor(2 * psi13)
     assert fz.complete and fz.factors == ((2, 1), (p, 1), (q, 1))
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong probable-prime test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, r))
+
+
+def test_every_psi_k_is_refused():
+    # psi_k passes the first k prime bases, so a graded test that ran only k
+    # bases at psi_k, one band looser than the table, would take it for a prime.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for k, psi in enumerate(PSI, 1):
+        assert all(_strong_probable_prime(psi, a) for a in bases[:k]), k
+        assert not is_probable_prime(psi), k
+        with pytest.raises(ValueError):
+            PAdic(psi)
+
+
+def test_graded_bases_agree_with_all_thirteen():
+    # Every n below 10^5, psi_k +- 2, and seeded odd numbers, primes and
+    # semiprimes in every band [psi_(k-1), psi_k) and above psi_13.
+    for n in itertools.chain(range(10**5), primality_draws()):
+        assert is_probable_prime(n) == reference_is_probable_prime(n), n
 
 
 def test_strong_lucas_test_fails_only_at_its_known_pseudoprimes():
