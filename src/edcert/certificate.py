@@ -265,7 +265,8 @@ def certificate_to_json(cert) -> dict:
     one of more than MAX_DIGITS digits raises ValueError before any text is
     returned."""
     if cert.irreducible:
-        transform = [_ratio(x.numerator, x.denominator) for x in cert.transform.entries()]
+        g = cert.transform
+        transform = [_ratio(x, g.den) for x in (g.a, g.b, g.c, g.d)]
         den = cert.witness.den
         witness = [_ratio(x, den) for x in cert.witness.nums]
         report = {

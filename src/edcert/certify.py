@@ -58,7 +58,7 @@ def upper_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     a = A.nums
     if a[n] == 0:
         raise ValueError("upper transform undefined: coefficient at the formal degree is zero")
-    m = Mat2.shear(Fraction(-a[n - 1], n * a[n]))
+    m = Mat2(n * a[n], -a[n - 1], 0, n * a[n], n * a[n])
     return m, act(A, m)
 
 
@@ -73,7 +73,7 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     a = A.nums
     if a[0] == 0:
         raise ValueError("lower transform undefined: constant coefficient is zero")
-    m = Mat2(1, 0, Fraction(-a[1], n * a[0]), 1)
+    m = Mat2(n * a[0], 0, -a[1], n * a[0], n * a[0])
     return m, act(A, m)
 
 
@@ -187,7 +187,7 @@ def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
     """(bQ)^n times the member [[t, P/Q], [1, 1]] applied to A, t = a/b: the
     binary form of A at (aQ x + bP, bQ x + bQ), built on integers."""
     a, b = t.numerator, t.denominator
-    return _substitute(A, a * Q, b * P, b * Q, b * Q)
+    return _substitute(A, 1, a * Q, b * P, b * Q, b * Q)
 
 
 class SearchConfig(Record):
@@ -380,7 +380,8 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
                 member = members[i] = _family_member(A, t, P, Q)
             report = is_ed(member, vp)
             if report.verdict:
-                m = Mat2(t, Fraction(P, Q), 1, 1)
+                a, b = t.numerator, t.denominator
+                m = Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
                 return success(vp, 4, m, act(A, m), report)
         audit.append(
             AuditEntry(

@@ -5,8 +5,8 @@ grammar of --poly, --matrix and the certificate rationals, the certificate
 JSON format and its checker live in edcert.certificate, and the grammar's
 names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from there;
 parse_poly and parse_rational wrap its readers in a FormalPoly and a Fraction.
-The integer flags --prime and --formal-degree refuse more than MAX_DIGITS
-digits, and an error echoes a long value clipped.
+The integer flags --prime and --formal-degree take a sign and ASCII digits
+only, at most MAX_DIGITS of them, and an error echoes a long value clipped.
 ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
 
 The optional EDCERT_RHO_BUDGET environment variable caps the factoring
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .certificate import (
     MAX_DIGITS,
+    _RATIONAL,
     _clip,
     certificate_to_json,
     format_poly,
@@ -58,15 +58,14 @@ def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
 
 
 def _int_arg(text: str) -> int:
-    """An integer flag (--prime, --formal-degree) as int() reads it; more
-    than MAX_DIGITS digits are refused with a message of ours, and a value
-    that is not an integer is echoed clipped."""
+    """An integer flag (--prime, --formal-degree) as the grammar reads one:
+    [sign] and ASCII digits, whitespace around; more than MAX_DIGITS digits
+    are refused with a message of ours, and anything else is echoed clipped."""
     if (size := len(text.strip().lstrip("+-"))) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"integer of {size} digits exceeds the limit {MAX_DIGITS}")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {_clip(repr(text))}") from None
+    if (m := _RATIONAL.fullmatch(text)) is None or m[2] is not None:
+        raise argparse.ArgumentTypeError(f"invalid integer {_clip(repr(text))}")
+    return int(m[1])
 
 
 def format_matrix(g: Mat2) -> str:
@@ -190,11 +189,9 @@ def _cmd_newton(args) -> int:
 
 def _act_digits(A: FormalPoly, g: Mat2) -> int:
     """An upper bound on the digits of each numerator and denominator of
-    act(A, g), in O(n): poly._substitute gives N / (A.den lam^n) with
-    |N| <= (n+1) max|A.nums| M^n, M the larger row sum of |lam g|."""
-    lam = math.lcm(*(x.denominator for x in g.entries()))
-    a, b, c, d = (x.numerator * (lam // x.denominator) for x in g.entries())
-    M, n = max(abs(a) + abs(b), abs(c) + abs(d), lam), A.formal_degree
+    act(A, g), in O(n): poly._substitute gives N / (A.den g.den^n) with
+    |N| <= (n+1) max|A.nums| M^n, M the larger row sum of |g.den g|."""
+    M, n = max(abs(g.a) + abs(g.b), abs(g.c) + abs(g.d), g.den), A.formal_degree
     bits = (n + 1).bit_length() + max(A.den, *map(abs, A.nums)).bit_length() + n * M.bit_length()
     return bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
 

@@ -12,6 +12,7 @@ what makes this a genuine right action on formal-degree-n polynomials.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -20,28 +21,29 @@ from .poly import FormalPoly, _substitute
 
 
 class Mat2(Record):
-    """Nonsingular 2x2 rational matrix [[a, b], [c, d]]; integer entries are
-    stored as Fractions."""
+    """Nonsingular 2x2 rational matrix [[a, b], [c, d]] / den in one integer
+    form, like FormalPoly: den > 0 and gcd(a, b, c, d, den) = 1, so equal
+    matrices have equal fields.  a..d may be given as ints or Fractions and
+    den as a nonzero int; entries() builds the Fractions on request."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "den")
 
-    def __init__(self, a: Fraction | int, b: Fraction | int, c: Fraction | int, d: Fraction | int):
-        a, b, c, d = (x if isinstance(x, Fraction) else Fraction(operator.index(x))
-                      for x in (a, b, c, d))
-        # ad = bc with the denominators cleared, so no Fraction is built
-        if (
-            a.numerator * d.numerator * b.denominator * c.denominator
-            == b.numerator * c.numerator * a.denominator * d.denominator
-        ):
+    def __init__(self, a: Fraction | int, b: Fraction | int, c: Fraction | int,
+                 d: Fraction | int, den: int = 1):
+        xs = [x if isinstance(x, Fraction) else operator.index(x) for x in (a, b, c, d)]
+        lam = math.lcm(*(x.denominator for x in xs))  # 1 for ints
+        a, b, c, d = (x.numerator * (lam // x.denominator) for x in xs)
+        if (den := operator.index(den) * lam) == 0:
+            raise ValueError("zero denominator")
+        if a * d == b * c:
             raise ValueError("matrix is singular")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
+        g = math.gcd(a, b, c, d, den) * (1 if den > 0 else -1)
+        for name, x in zip(self.__slots__, (a, b, c, d, den)):
+            _set(self, name, x // g)
 
     @property
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        return Fraction(self.a * self.d - self.b * self.c, self.den**2)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -64,28 +66,30 @@ class Mat2(Record):
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
+            self.den * other.den,
         )
 
     __matmul__ = compose
 
     def inverse(self) -> "Mat2":
-        det = self.det
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        """den / (ad - bc) times [[d, -b], [-c, a]]."""
+        m = self.den
+        return Mat2(m * self.d, -m * self.b, -m * self.c, m * self.a, self.a * self.d - self.b * self.c)
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        """The Fractions a/den, b/den, c/den, d/den, built on each call."""
+        return tuple(Fraction(x, self.den) for x in (self.a, self.b, self.c, self.d))
 
 
 def act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
 
     The substitution (x, y) -> (ax+b, cx+d) into the binary form
-    sum a_i x^i y^(n-i), on integers: A.nums and the entries of g with their
-    denominators cleared go through a synthetic-division Taylor shift when
-    g is upper triangular (c = 0) and through Horner's rule on the binary
-    form otherwise, in O(n^2) integer operations, and the result's
-    (den, nums) is reduced by one gcd (see poly._substitute).
-    FormalPoly.taylor_shift is the same computation for the shear
-    [[1, t], [0, 1]].
+    sum a_i x^i y^(n-i), on integers: A.nums and the integer fields of g go
+    through a synthetic-division Taylor shift when g is upper triangular
+    (c = 0) and through Horner's rule on the binary form otherwise, in
+    O(n^2) integer operations, and the result's (den, nums) is reduced by
+    one gcd (see poly._substitute).  FormalPoly.taylor_shift is the same
+    computation for the shear [[1, t], [0, 1]].
     """
-    return _substitute(A, *g.entries())
+    return _substitute(A, g.den, g.a, g.b, g.c, g.d)

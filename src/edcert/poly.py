@@ -32,15 +32,13 @@ def _form_at(alpha: Sequence[int], u: int, w: int) -> int:
     return F
 
 
-def _substitute(A: "FormalPoly", a: Fraction | int, b: Fraction | int,
-                c: Fraction | int, d: Fraction | int) -> "FormalPoly":
-    """(cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A), for ad != bc:
-    the binary form of A at (ax+b, cx+d).
+def _substitute(A: "FormalPoly", lam: int, a: int, b: int, c: int, d: int) -> "FormalPoly":
+    """A g at formal degree n = deg_f(A) for g = [[a, b], [c, d]] / lam, all
+    five integers, ad != bc: the binary form of A at (ax+b, cx+d) over lam^n.
 
-    With alpha = A.nums, and lam the lcm of the denominators of a, b, c, d
-    so that the entries become integers, sum alpha_i (ax+b)^i (cx+d)^(n-i)
-    is A.den lam^n times the result, which is that sum over A.den lam^n,
-    reduced once.  The sum is built on integers in one of two ways:
+    With alpha = A.nums, sum alpha_i (ax+b)^i (cx+d)^(n-i) is A.den lam^n
+    times the result, which is that sum over A.den lam^n, reduced once.  The
+    sum is built on integers in one of two ways:
 
       * c = 0, the paper's triangular action (shears, scalings, U(A)):
         sum alpha_i d^(n-i) (ax+b)^i is B(ax+b) with B(y) = sum alpha_i
@@ -53,8 +51,6 @@ def _substitute(A: "FormalPoly", a: Fraction | int, b: Fraction | int,
     """
     alpha = A.nums
     n = len(alpha) - 1
-    lam = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-    a, b, c, d = (x.numerator * (lam // x.denominator) for x in (a, b, c, d))
     if c == 0:
         P, dk = list(alpha), 1
         for i in range(n, -1, -1):
@@ -167,7 +163,8 @@ class FormalPoly(Record):
         """
         if t == 0:
             return self
-        return _substitute(self, 1, t, 0, 1)
+        p, q = t.numerator, t.denominator
+        return _substitute(self, q, q, p, 0, q)
 
     def reverse(self) -> "FormalPoly":
         """Coefficient reversal with respect to the formal degree (an involution)."""

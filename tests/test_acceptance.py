@@ -201,7 +201,8 @@ def test_criterion_10_one_parameter_round_trip_500():
         A = act(E, g.inverse())
         v = padic(p)
         n = A.formal_degree
-        t = g.a / g.c  # s/u from the hypothesized witness matrix
+        a, _, c, _ = g.entries()
+        t = a / c  # s/u from the hypothesized witness matrix
         assert A.eval(t) != 0  # forced: the conjugated form keeps degree n
         candidates = []
         if A.coeffs[-1] != 0:

@@ -6,9 +6,13 @@ renamed or deleted is skipped silently there, and the layer metrics that need
 it read null, so this checks the whole set.
 """
 
+import importlib.util
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from edcert import FormalPoly, Mat2, upper_transform
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,3 +37,17 @@ def test_benchmark_finds_every_name_it_calls_and_traces():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == "missing: []\n"
+
+
+def test_tracer_tells_the_kinds_of_action_apart(monkeypatch):
+    # tracing._act_kind reads the fields a, b, c, d of Mat2 to name an act
+    # span: a zero among them makes it triangular, none a full matrix.
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    A = FormalPoly(3, (1, 2, 3))
+    for g in (upper_transform(A)[0], Mat2.shear(Fraction(-2, 9)), Mat2(3, 0, Fraction(1, 2), 2)):
+        assert tracing._act_kind((A, g)) == "moebius.act.triangular", g
+    for g in (Mat2(Fraction(1, 2), -3, 5, 4), Mat2(1, Fraction(-22, 3), 1, 1)):
+        assert tracing._act_kind((A, g)) == "moebius.act.full", g

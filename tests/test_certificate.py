@@ -60,8 +60,8 @@ def test_checker_rejects_what_a_broken_action_kernel_certifies(monkeypatch):
     inputs = [parse_poly(E).taylor_shift(-s) for E in Es for s in (1, -3)]
     substitute = poly._substitute
 
-    def flipped(A, a, b, c, d):
-        return substitute(A, a, -b, c, d)
+    def flipped(A, lam, a, b, c, d):
+        return substitute(A, lam, a, -b, c, d)
 
     monkeypatch.setattr(poly, "_substitute", flipped)
     monkeypatch.setattr(moebius, "_substitute", flipped)

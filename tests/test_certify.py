@@ -241,10 +241,43 @@ def test_stage_four_hit_certifies_the_exact_member(monkeypatch):
         cert = certify_search(A)
         assert certificate_to_json(cert) == certificate_to_json(_eager_certify_search(A)), A
         if cert.stage == 4:
-            assert (cert.transform, cert.witness) == one_param_member(A, cert.transform.a)
+            assert (cert.transform, cert.witness) == one_param_member(A, cert.transform.entries()[0])
             assert validate_certificate_json(certificate_to_json(cert))[0]
             hits += 1
     assert hits >= 30
+
+
+def test_the_certify_path_builds_no_fraction(monkeypatch):
+    # Hits at stages 1, 2 and 4 (stage 2 disabled, as above) and an
+    # inconclusive search, each with a matrix of denominator > 1 where it
+    # has one: search and JSON run on the integer forms of FormalPoly and
+    # Mat2.  The stage-4 grid is built once per process, before counting.
+    default_t_grid()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def search(A, without_stage_two=False):
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting)
+            if without_stage_two:
+                m.setattr(certify_module, "upper_transform", lambda A: (Mat2.identity(), A))
+            cert = certify_search(A)
+            certificate_to_json(cert)
+        return cert
+
+    stage_one = poly(8, 4, 1)
+    stage_two = FormalPoly(27, (53, 9, -27, 27))  # (x - 1/3)^3 + 2
+    stage_four = FormalPoly(4, (-1432, -3204, -5346, -2643))
+    assert search(stage_one).stage == 1
+    assert search(stage_two).transform == Mat2.shear(Fraction(1, 3))
+    cert = search(stage_four, without_stage_two=True)
+    assert cert.stage == 4 and cert.transform == Mat2(-1, Fraction(-22, 3), 1, 1)
+    assert not search(poly(9, 0, -14, 0, 1)).irreducible
+    assert built == []
 
 
 def test_candidate_primes_examples():
@@ -435,7 +468,8 @@ def test_one_param_round_trip():
             candidates.append(upper_transform(A)[1])
         if A.coeffs[0] != 0:
             candidates.append(lower_transform(A)[1])
-        t = g.a / g.c  # s/u from the witness matrix
+        a, _, c, _ = g.entries()
+        t = a / c  # s/u from the witness matrix
         if A.eval(t) != 0 and A.derivative().eval(t) != 0:
             m, member = one_param_member(A, t)
             assert m.det == n * A.eval(t) / A.derivative().eval(t)

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import CandidatePrimes, FormalPoly, Mat2, act
+from edcert import CandidatePrimes, Certificate, FormalPoly, Mat2, Verdict, act, is_ed
 from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _decimal
 from edcert.cli import (
     certificate_to_json,
+    format_matrix,
     format_poly,
     main,
     newton_polygon_svg,
@@ -220,6 +221,22 @@ def test_parse_matrix():
         parse_matrix("1e3,0;0,1")
 
 
+def test_text_that_reads_mat2_is_unchanged(capsys):
+    # The text written from a Mat2 is part of the CLI and certificate
+    # formats, so it must not depend on how Mat2 stores its entries.
+    assert format_matrix(parse_matrix("-6/4, 1/3; 5, -2/8")) == "[-3/2, 1/3; 5, -1/4]"
+    assert format_matrix(parse_matrix("1,0;1,1")) == "[1, 0; 1, 1]"
+    assert main(["certify", "--poly", "x^3 - x^2 + 1/3x + 53/27"]) == 0  # (x - 1/3)^3 + 2
+    out = capsys.readouterr().out
+    assert "stage: 2 (upper transform)\ntransform: [1, 1/3; 0, 1]\n" in out
+    assert main(["act", "--poly", "x^3+x^2-2", "--matrix", "1/2,-3;0,4"]) == 0
+    assert capsys.readouterr().out == "1/8x^3 - 5/4x^2 + 3/2x - 119 (formal degree 3)\n"
+    A, g = parse_poly("x^2+4x+8"), parse_matrix("2/4,0;0,1")
+    W = act(A, g)
+    cert = Certificate(A, Verdict.IRREDUCIBLE, 2, 1, g, W, is_ed(W, PAdic(2)))
+    assert certificate_to_json(cert)["transform"] == ["1/2", "0", "0", "1"]
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -391,6 +408,23 @@ def test_integer_flags_echo_a_long_value_clipped(argv, capsys):
         assert main(argv + ["7" * 4299 + "8"]) == 2
         err = capsys.readouterr().err
         assert err == "error: 77777777777777777777... (4300 characters) is not prime\n"
+
+
+@pytest.mark.parametrize("flag", ["--prime", "--formal-degree"])
+def test_integer_flags_are_read_by_the_grammar(flag, capsys):
+    # int() read the Arabic-Indic seven and 0_7 as 7; the polynomial grammar,
+    # EDCERT_RHO_BUDGET and a certificate's prime refuse both, and so do the
+    # integer flags now: a sign and ASCII digits, whitespace around.
+    other = ["--prime", "7"] if flag == "--formal-degree" else ["--formal-degree", "2"]
+    for value in ("\u0667", "0_7", "7/1", "1e3", "+-7", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["ed-check", "--poly", "x^2+7", *other, flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"invalid integer {value!r}" in err, err
+    digit = "7" if flag == "--prime" else "2"
+    for value in (f" +{digit} ", f"0{digit}", f"\t{digit}\n"):
+        assert main(["ed-check", "--poly", "x^2+7", *other, flag, value]) == 0
+        assert "prime: 7" in capsys.readouterr().out
 
 
 def test_act_prints_a_long_result_within_the_limit(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -34,8 +36,8 @@ def test_singular_matrix_rejected():
 
 
 def test_singular_matrix_test_on_integers_agrees_with_the_determinant():
-    # Mat2 compares a_n d_n b_d c_d with b_n c_n a_d d_d (numerators and
-    # denominators of the entries) instead of building the determinant.
+    # Mat2 clears the entries' denominators and compares ad with bc on the
+    # integers instead of building the determinant.
     half, third, tiny = Fraction(1, 2), Fraction(1, 3), Fraction(1, 10**30)
     with pytest.raises(ValueError):
         Mat2(half, third, Fraction(3, 4), half)
@@ -177,11 +179,48 @@ def test_action_matches_substitution_by_evaluation(shape):
         n = A.formal_degree
         g = random_dense_mat(rng) if shape == "full" else random_shaped_mat(rng, shape)
         B = act(A, g)
+        a, b, c, d = g.entries()
         xs = set()
         while len(xs) < n + 2:
             x = nonzero_fraction(rng, 20)
-            if g.c * x + g.d != 0:
+            if c * x + d != 0:
                 xs.add(x)
         for x in xs:
-            y = g.c * x + g.d
-            assert B.eval(x) == y**n * A.eval((g.a * x + g.b) / y)
+            y = c * x + d
+            assert B.eval(x) == y**n * A.eval((a * x + b) / y)
+
+
+def test_mat2_stores_one_reduced_integer_form():
+    # [[a, b], [c, d]] / den with den > 0 and gcd(a, b, c, d, den) = 1, as
+    # FormalPoly stores (den, nums): equal matrices have equal fields.
+    half = Mat2(Fraction(1, 2), 1, 0, 1)
+    assert half == Mat2(1, 2, 0, 2, 2) and hash(half) == hash(Mat2(1, 2, 0, 2, 2))
+    assert (half.a, half.b, half.c, half.d, half.den) == (1, 2, 0, 2, 2)
+    assert half.entries() == (Fraction(1, 2), 1, 0, 1)
+    assert half == Mat2(Fraction(3, 6), Fraction(4, 4), 0, 1) == Mat2(-3, -6, 0, -6, -6)
+    negative = Mat2(2, -4, 0, 6, -4)
+    assert (negative.a, negative.b, negative.c, negative.d, negative.den) == (-1, 2, 0, -3, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        Mat2(1, 0, 0, 1, 0)
+    with pytest.raises(ValueError, match="singular"):
+        Mat2(1, 2, 2, 4, 3)
+    for bad in ((0.5, 0, 0, 1), (1, 0, 0, 1, 2.0), (1, 0, 0, 1, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            Mat2(*bad)
+    for twin in (pickle.loads(pickle.dumps(half)), copy.copy(half), copy.deepcopy(half)):
+        assert type(twin) is Mat2 and twin == half and twin.den == 2
+
+
+def test_integer_formulas_agree_with_the_fraction_entries():
+    # det, compose and inverse work on (a, b, c, d, den); entries() is the
+    # Fraction view they must agree with.
+    r = random.Random(2020)
+    for _ in range(300):
+        g, h = random_mat(r), random_mat(r)
+        a, b, c, d = g.entries()
+        e, f, k, m = h.entries()
+        assert Mat2(a, b, c, d) == g
+        assert (g @ h).entries() == (a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m)
+        det = a * d - b * c
+        assert g.det == det
+        assert g.inverse().entries() == (d / det, -b / det, -c / det, a / det)

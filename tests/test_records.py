@@ -44,8 +44,8 @@ CASES = [
     (
         Mat2,
         (1, Fraction(1, 2), 0, 3),
-        {"a": Fraction(1), "b": Fraction(2, 4), "c": 0, "d": 3},
-        "Mat2(a=Fraction(1, 1), b=Fraction(1, 2), c=Fraction(0, 1), d=Fraction(3, 1))",
+        {"a": Fraction(1), "b": Fraction(2, 4), "c": 0, "d": 3, "den": 1},
+        "Mat2(a=2, b=1, c=0, d=6, den=2)",
     ),
     (PAdic, (5,), {"p": 5}, "PAdic(p=5)"),
     (Segment, (Fraction(-1, 2), 2), {"slope": Fraction(-1, 2), "length": 2},
@@ -77,7 +77,7 @@ CASES = [
          "candidate_primes_complete": False},
         "Certificate(input=FormalPoly(den=1, nums=(2, 0, 1)), "
         "verdict=<Verdict.IRREDUCIBLE: 'irreducible'>, prime=2, stage=1, "
-        "transform=Mat2(a=Fraction(1, 1), b=Fraction(0, 1), c=Fraction(0, 1), d=Fraction(1, 1)), "
+        "transform=Mat2(a=1, b=0, c=0, d=1, den=1), "
         "witness=FormalPoly(den=1, nums=(2, 0, 1)), "
         "report=EDReport(d0=True, d1=True, d2=True, d1_gcd=1, d2_failing_index=None), "
         "audit=(AuditEntry(prime=2, stage=0, reason='x'),), candidate_primes_complete=False)",
