@@ -14,10 +14,6 @@ from .certify import (
     Verdict,
     candidate_primes,
     certify_search,
-    default_t_grid,
-    lower_transform,
-    one_param_member,
-    phi,
     upper_transform,
 )
 from .exact_arith import Factorization, factor, is_probable_prime
@@ -52,15 +48,11 @@ __all__ = [
     "candidate_primes",
     "certificate_to_json",
     "certify_search",
-    "default_t_grid",
     "dumas_concat_holds",
     "factor",
     "is_ed",
     "is_probable_prime",
-    "lower_transform",
     "newton_polygon",
-    "one_param_member",
-    "phi",
     "upper_transform",
     "validate_certificate_json",
 ]

@@ -20,16 +20,8 @@ prime, checks A itself, then, when p does not divide n, U(A) and a
 bounded grid of t values; the first hit is returned as a machine-checkable certificate.  L(A) is not searched:
 by the orbit lemma (see certify_search) it can never give the first hit.
 A failed search is reported inconclusive, never as "reducible": the
-criterion is one-sided.
-
-Stage 4 runs on integers.  The member [[t, phi(t)], [1, 1]] has leading
-coefficient A(t) and constant coefficient A(phi(t)).  With t = a/b and
-phi(t) = P/Q, these are F / (den b^n) and F(P, Q) / (den Q^n), where F is
-the binary form of A.nums; den and the n-th powers drop out of (D1) mod n,
-so (D0) and (D1) at p are decided from the two integers F(a, b) and
-F(P, Q), computed once per grid point, before a member is built.  A member
-that passes is built on integers as (bQ)^n times itself, which has the same
-Eisenstein-Dumas report (endpoint lemma, see certify_search).
+criterion is one-sided.  Stage 4 runs on integers, and builds only the
+members whose endpoints pass (D0) and (D1) (endpoint lemma, see certify_search).
 """
 
 from __future__ import annotations
@@ -78,11 +70,13 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
 
 
 def phi(A: FormalPoly, t: Fraction | int) -> Fraction:
-    """The family parameter map t - n * A(t) / A'(t); needs A'(t) != 0."""
-    deriv = A.derivative().eval(t)
-    if deriv == 0:
+    """t - n A(t)/A'(t), read on integers as P/Q in _family_grid; needs A'(t) != 0."""
+    n, alpha, t = A.formal_degree, A.nums, Fraction(t)
+    a, b = t.numerator, t.denominator
+    G = _form_at([i * x for i, x in enumerate(alpha)][1:] or [0], a, b)
+    if G == 0:
         raise ValueError("phi undefined: A'(t) = 0")
-    return t - A.formal_degree * A.eval(t) / deriv
+    return Fraction(a * G - n * _form_at(alpha, a, b), b * G)
 
 
 def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly]:
@@ -293,6 +287,14 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     keeps one sample per call, which raises its peak memory past its bound.
     Removing stage 4 waits for that change of the benchmark (ROADMAP item 1).
 
+    Gcd lemma: if an integer polynomial B of degree n >= 2 is Eisenstein-Dumas
+    at p, then p divides gcd(b_0 .. b_(n-1)) or gcd(b_1 .. b_n).  By (D1)
+    v(b_0) != v(b_n); if v(b_0) > v(b_n) >= 0, (D2) gives n v(b_i) >=
+    n v(b_n) + n - i > 0 for i < n, and the other case is its mirror.  So with
+    g_0 and g_n these gcds of U(A).nums, at p not dividing n every prime at
+    which A, U(A) or a member can hit divides g_0 or g_n (orbit lemma); the
+    tests compare this search with one over the primes of n, g_0 and g_n.
+
     Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
     and x^0 are sum a_i a^i c^(n-i) = c^n A(a/c) and sum a_i b^i d^(n-i) =
@@ -310,10 +312,6 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     member's report.  A built member is kept for the later primes.  Only a
     hit builds the exact matrix and member for the certificate, and by the
     orbit lemma that never happens.
-
-    Candidate primes could be evaluated concurrently and reconciled by the
-    same (prime, stage, t) priority order; this implementation keeps the
-    simple sequential form of that contract.
     """
     config = config or SearchConfig()
     n = A.formal_degree

@@ -4,7 +4,8 @@ The subcommands only read arguments, call the library and print.  The text
 grammar of --poly, --matrix and the certificate rationals, the certificate
 JSON format and its checker live in edcert.certificate, and the grammar's
 names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from there;
-parse_poly and parse_rational wrap its readers in a FormalPoly and a Fraction.
+parse_poly wraps its polynomial reader in a FormalPoly, and parse_matrix
+reads each --matrix entry with its rational reader.
 The integer flags --prime and --formal-degree take a sign and ASCII digits
 only, at most MAX_DIGITS of them, and an error echoes a long value clipped.
 ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
@@ -41,11 +42,6 @@ from .poly import FormalPoly
 from .valuation import PAdic
 
 
-def parse_rational(text: str) -> Fraction:
-    """[sign]int or [sign]int/int in ASCII digits; a non-string raises TypeError."""
-    return Fraction(*read_rational(text))
-
-
 def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
     """The polynomial grammar read by certificate.read_poly, as a FormalPoly.
 
@@ -74,11 +70,12 @@ def format_matrix(g: Mat2) -> str:
 
 
 def parse_matrix(text: str) -> Mat2:
-    """Parse 'a,b;c,d' with rational entries into a nonsingular matrix."""
+    """Parse 'a,b;c,d' into a nonsingular matrix; each entry is [sign]int or
+    [sign]int/int in ASCII digits (certificate.read_rational)."""
     rows = [row.split(",") for row in text.split(";")]
     if [len(row) for row in rows] != [2, 2]:
         raise ValueError(f"matrix must be 'a,b;c,d', got {text!r}")
-    return Mat2(*(parse_rational(entry) for row in rows for entry in row))
+    return Mat2(*(Fraction(*read_rational(entry)) for row in rows for entry in row))
 
 
 # -- SVG Newton polygon plots -------------------------------------------------
@@ -89,7 +86,8 @@ _SVG_W, _SVG_H, _SVG_MARGIN = 640, 480, 60
 def newton_polygon_svg(A: FormalPoly, v: PAdic) -> str:
     """Deterministic standalone SVG: support points as circles, hull as a polyline."""
     polygon = newton_polygon(A, v)
-    points = [(i, v.val(c)) for i, c in enumerate(A.coeffs) if c]
+    vden = v.val(A.den)
+    points = [(i, v.val(x) - vden) for i, x in enumerate(A.nums) if x]
     xs = [i for i, _ in points]
     ys = [w for _, w in points]
     x_lo, x_hi = 0, max(max(xs), 1)
@@ -268,10 +266,20 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key repeated in it is refused, at any depth."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {_clip(repr(key))} in certificate JSON")
+        data[key] = value
+    return data
+
+
 def _cmd_verify(args) -> int:
     with open(args.json) as fh:
         try:
-            data = json.load(fh, parse_int=_json_int)
+            data = json.load(fh, parse_int=_json_int, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("certificate JSON is nested too deeply") from None
     ok, reason = validate_certificate_json(data)

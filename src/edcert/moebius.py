@@ -7,7 +7,10 @@ on that form, i.e.
     A(x) g = (cx + d)^n A((ax + b) / (cx + d)).
 
 The result keeps formal degree n even when its actual degree drops, which is
-what makes this a genuine right action on formal-degree-n polynomials.
+what makes this a genuine right action on formal-degree-n polynomials.  The
+elementary matrices are written out: the shear Mat2(1, t, 0, 1) shifts,
+A(x + t); Mat2(t, 0, 0, 1) scales the argument, A(t x); and the swap
+Mat2(0, 1, 1, 0) reverses the coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ class Mat2(Record):
     """Nonsingular 2x2 rational matrix [[a, b], [c, d]] / den in one integer
     form, like FormalPoly: den > 0 and gcd(a, b, c, d, den) = 1, so equal
     matrices have equal fields.  a..d may be given as ints or Fractions and
-    den as a nonzero int; entries() builds the Fractions on request."""
+    den as a nonzero int; entries() builds the Fractions on request.  The
+    package needs no product, inverse or determinant, so Mat2 has none."""
 
     __slots__ = ("a", "b", "c", "d", "den")
 
@@ -41,40 +45,9 @@ class Mat2(Record):
         for name, x in zip(self.__slots__, (a, b, c, d, den)):
             _set(self, name, x // g)
 
-    @property
-    def det(self) -> Fraction:
-        return Fraction(self.a * self.d - self.b * self.c, self.den**2)
-
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def swap(cls) -> "Mat2":
-        """The coordinate swap [[0, 1], [1, 0]]; acting by it reverses coefficients."""
-        return cls(0, 1, 1, 0)
-
-    @classmethod
-    def shear(cls, t: Fraction | int) -> "Mat2":
-        """Upper shear [[1, t], [0, 1]]; acting by it is the Taylor shift by t."""
-        return cls(1, t, 0, 1)
-
-    def compose(self, other: "Mat2") -> "Mat2":
-        """Matrix product self * other; determinants multiply."""
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.den * other.den,
-        )
-
-    __matmul__ = compose
-
-    def inverse(self) -> "Mat2":
-        """den / (ad - bc) times [[d, -b], [-c, a]]."""
-        m = self.den
-        return Mat2(m * self.d, -m * self.b, -m * self.c, m * self.a, self.a * self.d - self.b * self.c)
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """The Fractions a/den, b/den, c/den, d/den, built on each call."""
@@ -82,14 +55,10 @@ class Mat2(Record):
 
 
 def act(A: FormalPoly, g: Mat2) -> FormalPoly:
-    """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A).
-
-    The substitution (x, y) -> (ax+b, cx+d) into the binary form
-    sum a_i x^i y^(n-i), on integers: A.nums and the integer fields of g go
-    through a synthetic-division Taylor shift when g is upper triangular
-    (c = 0) and through Horner's rule on the binary form otherwise, in
-    O(n^2) integer operations, and the result's (den, nums) is reduced by
-    one gcd (see poly._substitute).  FormalPoly.taylor_shift is the same
-    computation for the shear [[1, t], [0, 1]].
+    """A(x) g = (cx+d)^n A((ax+b)/(cx+d)) at formal degree n = deg_f(A), on
+    integers in O(n^2) operations: a synthetic-division Taylor shift when g is
+    upper triangular (c = 0), Horner's rule on the binary form otherwise, and
+    one gcd to reduce (see poly._substitute).  FormalPoly.taylor_shift is the
+    same computation for the shear Mat2(1, t, 0, 1).
     """
     return _substitute(A, g.den, g.a, g.b, g.c, g.d)

@@ -10,6 +10,8 @@ Values are immutable, in one canonical integer form a_i = nums[i] / den with
 den > 0 and gcd(den, *nums) = 1, so equal polynomials have equal fields.
 Every kernel reads that form and reduces its result once, by one gcd; the
 Fractions a_i are built only on request (coeffs).  No floating point anywhere.
+Reversal, scalings and shears are written as act(A, g) (edcert.moebius); the
+class holds only what the package and its benchmark call.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class FormalPoly(Record):
         D = math.lcm(*(c.denominator for c in cs))
         return cls(D, tuple(c.numerator * (D // c.denominator) for c in cs))
 
-    @classmethod
-    def zero(cls, formal_degree: int = 0) -> "FormalPoly":
-        return cls(1, (0,) * (formal_degree + 1))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The Fractions a_0..a_n, built on each read."""
@@ -150,12 +148,6 @@ class FormalPoly(Record):
         q = t.denominator
         return Fraction(_form_at(self.nums, t.numerator, q), self.den * q ** (len(self.nums) - 1))
 
-    def derivative(self) -> "FormalPoly":
-        """Formal derivative at formal degree n-1 (constants drop to degree 0)."""
-        if len(self.nums) == 1:
-            return FormalPoly.zero(0)
-        return FormalPoly(self.den, tuple(i * x for i, x in enumerate(self.nums) if i > 0))
-
     def taylor_shift(self, t: Fraction | int) -> "FormalPoly":
         """A(x + t) at the same formal degree; leading coefficient unchanged.
 
@@ -165,24 +157,3 @@ class FormalPoly(Record):
             return self
         p, q = t.numerator, t.denominator
         return _substitute(self, q, q, p, 0, q)
-
-    def reverse(self) -> "FormalPoly":
-        """Coefficient reversal with respect to the formal degree (an involution)."""
-        return FormalPoly(self.den, self.nums[::-1])
-
-    def scale_arg(self, t: Fraction | int) -> "FormalPoly":
-        """A(t*x): a_i -> a_i * t^i.  Requires t != 0."""
-        if t == 0:
-            raise ValueError("scale_arg requires t != 0")
-        p, q = t.numerator, t.denominator
-        n = len(self.nums) - 1
-        return FormalPoly(
-            self.den * q**n,
-            tuple(x * p**i * q ** (n - i) for i, x in enumerate(self.nums)),
-        )
-
-    def scale_all(self, t: Fraction | int) -> "FormalPoly":
-        """t * A(x).  Requires t != 0."""
-        if t == 0:
-            raise ValueError("scale_all requires t != 0")
-        return FormalPoly(self.den * t.denominator, tuple(x * t.numerator for x in self.nums))

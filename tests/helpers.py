@@ -22,15 +22,13 @@ from edcert import (
     Verdict,
     act,
     candidate_primes,
-    default_t_grid,
     factor,
     is_ed,
-    lower_transform,
     upper_transform,
 )
-from edcert.certify import _failure_reason
-from edcert.certificate import MAX_DEGREE, PolyParseError
-from edcert.cli import parse_poly, parse_rational
+from edcert.certify import _failure_reason, default_t_grid, lower_transform
+from edcert.certificate import MAX_DEGREE, PolyParseError, read_rational
+from edcert.cli import parse_poly
 from edcert.exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, _strong_lucas
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -43,6 +41,56 @@ def padic(p: int) -> PAdic:
     if p not in _PADICS:
         _PADICS[p] = PAdic(p)
     return _PADICS[p]
+
+
+# The package ships no matrix product, inverse or determinant, and no t A or
+# A'; the tests build them here.  Reversal, argument scaling and shears are
+# act(A, SWAP), act(A, Mat2(t, 0, 0, 1)) and act(A, shear(t)).
+
+SWAP = Mat2(0, 1, 1, 0)
+
+
+def shear(t: Fraction | int) -> Mat2:
+    """[[1, t], [0, 1]]; acting by it is the Taylor shift by t."""
+    return Mat2(1, t, 0, 1)
+
+
+def mat_mul(g: Mat2, h: Mat2) -> Mat2:
+    """The matrix product g h, so that act(A, g h) = act(act(A, g), h)."""
+    return Mat2(
+        g.a * h.a + g.b * h.c,
+        g.a * h.b + g.b * h.d,
+        g.c * h.a + g.d * h.c,
+        g.c * h.b + g.d * h.d,
+        g.den * h.den,
+    )
+
+
+def mat_inv(g: Mat2) -> Mat2:
+    """den / (ad - bc) times [[d, -b], [-c, a]]."""
+    m = g.den
+    return Mat2(m * g.d, -m * g.b, -m * g.c, m * g.a, g.a * g.d - g.b * g.c)
+
+
+def mat_det(g: Mat2) -> Fraction:
+    return Fraction(g.a * g.d - g.b * g.c, g.den**2)
+
+
+def scaled(A: FormalPoly, t: Fraction | int) -> FormalPoly:
+    """t A at the formal degree of A."""
+    t = Fraction(t)
+    return FormalPoly(A.den * t.denominator, tuple(x * t.numerator for x in A.nums))
+
+
+def derivative(A: FormalPoly) -> FormalPoly:
+    """A' at formal degree n - 1; a constant's is the zero constant."""
+    return FormalPoly(A.den, tuple(i * x for i, x in enumerate(A.nums))[1:] or (0,))
+
+
+def parse_rational(text: str) -> Fraction:
+    """certificate.read_rational as a Fraction, as the CLI reads a --matrix
+    entry; a non-string raises TypeError."""
+    return Fraction(*read_rational(text))
 
 
 def nonzero_fraction(rng: random.Random, bound: int = 9) -> Fraction:
@@ -177,31 +225,39 @@ def fraction_poly(coeffs: list[Fraction]) -> FormalPoly:
     return FormalPoly(D, tuple(c.numerator * (D // c.denominator) for c in coeffs))
 
 
-def _reference_taylor_shift(A: FormalPoly, t: Fraction) -> FormalPoly:
-    """A(x + t) by repeated synthetic division on Fractions, as
-    FormalPoly.taylor_shift computed it before the integer kernel."""
-    n = A.formal_degree
-    out = list(A.coeffs)
+def _fraction_shift(cs: list[Fraction], t: Fraction) -> list[Fraction]:
+    """The coefficients of sum cs_i (x + t)^i, by repeated synthetic division."""
+    out, n = list(cs), len(cs) - 1
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
             out[k] += t * out[k + 1]
-    return fraction_poly(out)
+    return out
+
+
+def _reference_taylor_shift(A: FormalPoly, t: Fraction) -> FormalPoly:
+    """A(x + t) by repeated synthetic division on Fractions, as
+    FormalPoly.taylor_shift computed it before the integer kernel."""
+    return fraction_poly(_fraction_shift(A.coeffs, t))
 
 
 def reference_act(A: FormalPoly, g: Mat2) -> FormalPoly:
     """act as it was before the integer kernel: the right-action
-    factorization of g into Fraction Taylor shifts, argument scalings and a
-    reversal,
+    factorization of g into Taylor shifts, argument scalings and a reversal
+    of the list of Fraction coefficients,
 
         c = 0:  g = shear(b/d) diag(a/d, 1) (d I),
         c != 0: g = shear(a/c) diag(-det/c, 1) swap diag(c, 1) shear(d/c).
 
     The differential test compares act against it."""
     a, b, c, d = g.entries()
+    n = A.formal_degree
     if c == 0:
-        return _reference_taylor_shift(A, b / d).scale_arg(a / d).scale_all(d**A.formal_degree)
-    B = _reference_taylor_shift(A, a / c).scale_arg(-g.det / c).reverse().scale_arg(c)
-    return _reference_taylor_shift(B, d / c)
+        B = _fraction_shift(A.coeffs, b / d)
+        return fraction_poly([x * (a / d) ** i * d**n for i, x in enumerate(B)])
+    s = (b * c - a * d) / c
+    B = [x * s**i for i, x in enumerate(_fraction_shift(A.coeffs, a / c))]
+    B = [x * c**i for i, x in enumerate(B[::-1])]
+    return fraction_poly(_fraction_shift(B, d / c))
 
 
 def _reference_brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
@@ -509,7 +565,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
             audit.append(AuditEntry(p, 3, _failure_reason(report)))
         if grid is None:
             grid = []
-            dA = A.derivative()
+            dA = derivative(A)
             for t in _REFERENCE_GRID:
                 dt, at = dA.eval(t), A.eval(t)
                 if dt == 0 or at == 0:  # phi(t) undefined, or a singular member
@@ -539,6 +595,26 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
     return Certificate(
         A, Verdict.INCONCLUSIVE, audit=tuple(audit), candidate_primes_complete=cand.complete
     )
+
+
+def reference_gcd_search(A: FormalPoly) -> tuple[tuple, bool]:
+    """The search over the primes of n, g_0 = gcd(b_0 .. b_(n-1)) and
+    g_n = gcd(b_1 .. b_n), b = U(A).nums (the gcd lemma in the certify_search
+    docstring): in ascending order it tests A at each prime, and U(A) when p
+    does not divide n.  Returns the core answer (verdict, prime, stage,
+    transform, witness) and whether every factoring was complete."""
+    n = A.formal_degree
+    m, U = upper_transform(A)
+    b = U.nums
+    found = [factor(x) for x in (n, math.gcd(*b[:-1]), math.gcd(*b[1:])) if x > 1]
+    complete = all(fz.complete for fz in found)
+    for p in sorted({p for fz in found for p in fz.primes}):
+        vp = padic(p)
+        if is_ed(A, vp).verdict:
+            return (Verdict.IRREDUCIBLE, p, 1, Mat2.identity(), A), complete
+        if n % p and is_ed(U, vp).verdict:
+            return (Verdict.IRREDUCIBLE, p, 2, m, U), complete
+    return (Verdict.INCONCLUSIVE, None, None, None, None), complete
 
 
 def reference_parse_rational(text: str) -> Fraction:

@@ -19,14 +19,18 @@ from edcert import (
     certify_search,
     dumas_concat_holds,
     is_ed,
-    lower_transform,
-    one_param_member,
     upper_transform,
 )
+from edcert.certify import lower_transform, one_param_member
 from edcert.cli import certificate_to_json, validate_certificate_json
 from edcert.oracle import brute_irreducible
 from helpers import (
     SMALL_PRIMES,
+    SWAP,
+    derivative,
+    mat_det,
+    mat_inv,
+    mat_mul,
     padic,
     random_dense_mat,
     random_ed_polynomial,
@@ -35,6 +39,8 @@ from helpers import (
     random_p_content_poly,
     random_shaped_mat,
     reference_is_ed_strict,
+    scaled,
+    shear,
 )
 
 
@@ -84,7 +90,7 @@ def test_criterion_03_cyclotomic_certification():
         dt = time.perf_counter() - t0
         times.append(dt)
         assert cert.irreducible and cert.prime == p and cert.stage == 2
-        assert cert.transform == Mat2.shear(Fraction(-1, p - 1))
+        assert cert.transform == shear(Fraction(-1, p - 1))
         shifted = cyclotomic(p).taylor_shift(Fraction(-1, p - 1))
         assert is_ed(shifted, padic(p)).verdict
         assert cert.witness == shifted
@@ -145,9 +151,9 @@ def test_criterion_07_symmetries_and_shift_stability_500_each():
         t = Fraction(0)
         while t == 0:
             t = Fraction(rng.randint(-15, 15), rng.randint(1, 15))
-        assert is_ed(A.scale_all(t), v).verdict
-        assert is_ed(A.scale_arg(t), v).verdict
-        assert is_ed(A.reverse(), v).verdict
+        assert is_ed(scaled(A, t), v).verdict
+        assert is_ed(act(A, Mat2(t, 0, 0, 1)), v).verdict
+        assert is_ed(act(A, SWAP), v).verdict
     for _ in range(500):  # Taylor shifts with n v(t) > v(a_0) - v(a_n)
         A, p = random_ed_polynomial(rng)
         v = padic(p)
@@ -182,7 +188,7 @@ def test_criterion_09_triangular_round_trip_500():
     for trial in range(500):
         E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=6)
         g = random_shaped_mat(rng, shapes[trial % 4])
-        A = act(E, g.inverse())
+        A = act(E, mat_inv(g))
         v = padic(p)
         ok = False
         if A.coeffs[-1] != 0:
@@ -198,7 +204,7 @@ def test_criterion_10_one_parameter_round_trip_500():
     for _ in range(500):
         E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=6)
         g = random_dense_mat(rng)
-        A = act(E, g.inverse())
+        A = act(E, mat_inv(g))
         v = padic(p)
         n = A.formal_degree
         a, _, c, _ = g.entries()
@@ -209,9 +215,9 @@ def test_criterion_10_one_parameter_round_trip_500():
             candidates.append(upper_transform(A)[1])
         if A.coeffs[0] != 0:
             candidates.append(lower_transform(A)[1])
-        if A.derivative().eval(t) != 0:
+        if derivative(A).eval(t) != 0:
             m, member = one_param_member(A, t)
-            assert m.det == n * A.eval(t) / A.derivative().eval(t)
+            assert mat_det(m) == n * A.eval(t) / derivative(A).eval(t)
             candidates.append(member)
         assert any(is_ed(B, v).verdict for B in candidates), (E, g, p)
     print("ACCEPTANCE 10 PASS: U, L, or family member recovers a witness, 500 dense trials, 0 failures")
@@ -219,14 +225,13 @@ def test_criterion_10_one_parameter_round_trip_500():
 
 def test_criterion_11_reversal_identity_500():
     rng = random.Random(1011)
-    swap = Mat2.swap()
     for _ in range(500):
         n = rng.randint(1, 6)
         cs = [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(n + 1)]
         while cs[0] == 0:
             cs[0] = Fraction(rng.randint(1, 20), rng.randint(1, 8))
         A = FormalPoly.from_coeffs(cs)
-        assert upper_transform(A.reverse())[1] == act(lower_transform(A)[1], swap)
+        assert upper_transform(act(A, SWAP))[1] == act(lower_transform(A)[1], SWAP)
     print("ACCEPTANCE 11 PASS: U(reverse(A)) = act(L(A), swap) exactly, 500 trials")
 
 
@@ -239,7 +244,7 @@ def test_criterion_12_action_laws_300():
         )
         g, h = random_mat(rng), random_mat(rng)
         left = act(act(A, g), h)
-        right = act(A, g.compose(h))
+        right = act(A, mat_mul(g, h))
         assert left == right
         assert act(A, Mat2.identity()) == A
         assert left.formal_degree == A.formal_degree

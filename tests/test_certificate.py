@@ -25,6 +25,7 @@ from edcert import (
 from edcert.cli import parse_poly
 from helpers import (
     PSI,
+    mat_inv,
     nonzero_fraction,
     padic,
     primality_draws,
@@ -204,7 +205,7 @@ def _conjugate_certificate(rng: random.Random) -> Certificate:
     nonzero entries: transform h^-1, witness E."""
     E, p = random_ed_polynomial(rng, max_degree=6, max_unit=6, max_endpoint_val=2, extra_val=1)
     h = random_dense_mat(rng, 5)
-    B, g = act(E, h), h.inverse()
+    B, g = act(E, h), mat_inv(h)
     assert act(B, g) == E
     return Certificate(B, Verdict.IRREDUCIBLE, p, None, g, E, is_ed(E, padic(p)))
 

@@ -19,15 +19,15 @@ from edcert import (
     act,
     candidate_primes,
     certify_search,
-    default_t_grid,
     is_ed,
-    lower_transform,
-    one_param_member,
-    phi,
     upper_transform,
 )
 from helpers import (
+    SWAP,
+    derivative,
     endpoints_pass,
+    mat_det,
+    mat_inv,
     padic,
     random_dense_mat,
     random_ed_polynomial,
@@ -35,9 +35,21 @@ from helpers import (
     random_shaped_mat,
     reference_candidate_primes,
     reference_certify_search,
+    reference_gcd_search,
+    scaled,
+    shear,
 )
 import edcert.certify as certify_module
-from edcert.certify import _failure_reason, _family_gate, _family_grid, _family_member
+from edcert.certify import (
+    _failure_reason,
+    _family_gate,
+    _family_grid,
+    _family_member,
+    default_t_grid,
+    lower_transform,
+    one_param_member,
+    phi,
+)
 from edcert.cli import certificate_to_json, validate_certificate_json
 
 
@@ -49,9 +61,11 @@ def cyclotomic(p):
     return FormalPoly.from_coeffs([1] * p)
 
 
+
+
 def test_upper_transform():
     m, U = upper_transform(poly(8, 4, 1))
-    assert m == Mat2.shear(-2)
+    assert m == shear(-2)
     assert U == poly(4, 0, 1)
 
     A = poly(9, 0, -14, 0, 1)  # a_3 = 0: zero shift
@@ -59,7 +73,7 @@ def test_upper_transform():
     assert m == Mat2.identity() and U == A
 
     m, U = upper_transform(cyclotomic(5))
-    assert m == Mat2.shear(Fraction(-1, 4))
+    assert m == shear(Fraction(-1, 4))
     assert U.coeffs[0] == Fraction(205, 256)
     assert U.coeffs[3] == 0  # the x^(n-1) coefficient is killed
 
@@ -83,14 +97,13 @@ def test_lower_transform():
 
 def test_lower_is_reversed_upper():
     rng = random.Random(31)
-    swap = Mat2.swap()
     for _ in range(100):
         n = rng.randint(1, 6)
         cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
         while cs[0] == 0:
             cs[0] = Fraction(rng.randint(1, 9))
         A = FormalPoly.from_coeffs(cs)
-        assert upper_transform(A.reverse())[1] == act(lower_transform(A)[1], swap)
+        assert upper_transform(act(A, SWAP))[1] == act(lower_transform(A)[1], SWAP)
 
 
 def test_phi():
@@ -109,7 +122,7 @@ def test_one_param_member():
     assert m == Mat2(0, -4, 1, 1)
     assert B == act(A, Mat2(0, -4, 1, 1))
     # determinant identity: det = n A(t) / A'(t)
-    assert m.det == 2 * A.eval(0) / A.derivative().eval(0)
+    assert mat_det(m) == 2 * A.eval(0) / derivative(A).eval(0)
 
     with pytest.raises(ValueError, match="A'"):
         one_param_member(poly(-1, 0, 1), 0)  # A'(0) = 0
@@ -180,7 +193,7 @@ def test_family_grid_is_phi_and_the_endpoints_on_integers():
         A = _rational_poly(rng)
         if i % 3 == 0:
             A = A.mul(FormalPoly.from_coeffs([-rng.choice(default_t_grid()), 1]))
-        n, dA = A.formal_degree, A.derivative()
+        n, dA = A.formal_degree, derivative(A)
         points, skipped = _family_grid(A)
         kept = [t for t in default_t_grid() if A.eval(t) != 0 and dA.eval(t) != 0]
         assert [point[0] for point in points] == kept and skipped == 87 - len(kept), A
@@ -213,10 +226,10 @@ def test_scaled_member_has_the_members_report():
     verdicts = Counter()
     for A, t, P, Q, F, FP, p in _family_draws(1503, 2400):
         member = one_param_member(A, t)[1]
-        scaled = _family_member(A, t, P, Q)
-        assert scaled == member.scale_all((t.denominator * Q) ** A.formal_degree), (A, t)
+        built = _family_member(A, t, P, Q)
+        assert built == scaled(member, (t.denominator * Q) ** A.formal_degree), (A, t)
         report = is_ed(member, padic(p))
-        assert is_ed(scaled, padic(p)) == report, (A, t, p)
+        assert is_ed(built, padic(p)) == report, (A, t, p)
         verdicts[report.d0 and report.d1, report.d2] += 1
     assert min(verdicts.values()) >= 50 and len(verdicts) == 4, verdicts
 
@@ -273,7 +286,7 @@ def test_the_certify_path_builds_no_fraction(monkeypatch):
     stage_two = FormalPoly(27, (53, 9, -27, 27))  # (x - 1/3)^3 + 2
     stage_four = FormalPoly(4, (-1432, -3204, -5346, -2643))
     assert search(stage_one).stage == 1
-    assert search(stage_two).transform == Mat2.shear(Fraction(1, 3))
+    assert search(stage_two).transform == shear(Fraction(1, 3))
     cert = search(stage_four, without_stage_two=True)
     assert cert.stage == 4 and cert.transform == Mat2(-1, Fraction(-22, 3), 1, 1)
     assert not search(poly(9, 0, -14, 0, 1)).irreducible
@@ -338,7 +351,7 @@ def test_search_builds_the_upper_transform_only_when_stage_two_runs(monkeypatch)
 
     # (x + 1)^3 + 2: A fails at 2, U(A) = x^3 + 2 is the stage-2 witness
     cert = certify_search(poly(3, 3, 3, 1))
-    assert (cert.stage, cert.prime) == (2, 2) and calls == [Mat2.shear(-1)]
+    assert (cert.stage, cert.prime) == (2, 2) and calls == [shear(-1)]
 
 
 def test_default_t_grid():
@@ -370,7 +383,7 @@ def test_certify_cyclotomics():
     for p in (3, 5, 7):
         cert = certify_search(cyclotomic(p))
         assert cert.irreducible and cert.prime == p and cert.stage == 2
-        assert cert.transform == Mat2.shear(Fraction(-1, p - 1))
+        assert cert.transform == shear(Fraction(-1, p - 1))
         assert is_ed(cert.witness, padic(p)).verdict
         assert cert.witness == act(cert.input, cert.transform)
 
@@ -400,7 +413,7 @@ def test_certify_dense_conjugates_are_certified():
     for _ in range(25):
         E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=5)
         g = random_dense_mat(rng, bound=4)
-        A = act(E, g.inverse())
+        A = act(E, mat_inv(g))
         if A.actual_degree != A.formal_degree:
             continue
         cert = certify_search(A)
@@ -445,7 +458,7 @@ def test_triangular_round_trip():
     for trial in range(150):
         E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=6)
         g = random_shaped_mat(rng, shapes[trial % 4])
-        A = act(E, g.inverse())
+        A = act(E, mat_inv(g))
         v = padic(p)
         candidates = []
         if A.coeffs[-1] != 0:
@@ -460,7 +473,7 @@ def test_one_param_round_trip():
     for _ in range(150):
         E, p = random_ed_polynomial(rng, prime_coprime_to_degree=True, max_degree=6)
         g = random_dense_mat(rng)
-        A = act(E, g.inverse())
+        A = act(E, mat_inv(g))
         v = padic(p)
         n = A.formal_degree
         candidates = []
@@ -470,9 +483,9 @@ def test_one_param_round_trip():
             candidates.append(lower_transform(A)[1])
         a, _, c, _ = g.entries()
         t = a / c  # s/u from the witness matrix
-        if A.eval(t) != 0 and A.derivative().eval(t) != 0:
+        if A.eval(t) != 0 and derivative(A).eval(t) != 0:
             m, member = one_param_member(A, t)
-            assert m.det == n * A.eval(t) / A.derivative().eval(t)
+            assert mat_det(m) == n * A.eval(t) / derivative(A).eval(t)
             candidates.append(member)
         assert any(is_ed(B, v).verdict for B in candidates), (E, g, p)
 
@@ -584,6 +597,9 @@ def test_same_core_answers_as_the_search_with_stage_three():
                 continue
             cert = certify_search(A)
             assert _core(cert) == _core(reference_certify_search(A)), A
+            gcd_core, complete = reference_gcd_search(A)
+            assert complete and cert.candidate_primes_complete, A
+            assert _core(cert) == gcd_core, A
             compared += 1
             ran_stage_four += any(e.stage == 4 for e in cert.audit)
             stages[cert.stage] = stages.get(cert.stage, 0) + 1

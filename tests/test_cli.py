@@ -16,13 +16,12 @@ from edcert.cli import (
     newton_polygon_svg,
     parse_matrix,
     parse_poly,
-    parse_rational,
     validate_certificate_json,
 )
 from edcert.cli import _act_digits
 from edcert.certify import certify_search
 from edcert.valuation import PAdic
-from helpers import reference_parse_poly, reference_parse_rational
+from helpers import parse_rational, reference_parse_poly, reference_parse_rational
 
 
 def poly(*coeffs, n=None):
@@ -35,7 +34,7 @@ def poly(*coeffs, n=None):
 def test_parse_examples():
     assert parse_poly("x^4 - 14x^2 + 9") == poly(9, 0, -14, 0, 1)
     assert parse_poly("1/2x^2 + 8") == poly(8, 0, Fraction(1, 2))
-    assert parse_poly("0", formal_degree=3) == FormalPoly.zero(3)
+    assert parse_poly("0", formal_degree=3) == poly(0, n=3)
 
 
 def test_parse_variants():
@@ -45,7 +44,7 @@ def test_parse_variants():
     assert parse_poly("  x ^ 2+ 4 x + 8 ") == poly(8, 4, 1)
     assert parse_poly("3/4") == poly(Fraction(3, 4))
     assert parse_poly("x + x + 1 - 1") == poly(0, 2)
-    assert parse_poly("x^2 - x^2") == FormalPoly.zero(0)
+    assert parse_poly("x^2 - x^2") == poly(0)
     assert parse_poly("5x^0") == poly(5)
 
 
@@ -206,7 +205,7 @@ def test_format_round_trip():
         )
         assert parse_poly(format_poly(A), formal_degree=A.formal_degree) == A
     assert format_poly(poly(-2, -6, -5, 0)) == "-5x^2 - 6x - 2"
-    assert format_poly(FormalPoly.zero(4)) == "0"
+    assert format_poly(poly(0, n=4)) == "0"
     assert format_poly(poly(0, 1, n=3)) == "x"
 
 
@@ -486,6 +485,28 @@ def test_verify_refuses_deeply_nested_json(tmp_path, capsys):
         path.write_text(content)
         assert main(["verify", "--json", str(path)]) == 2
         assert capsys.readouterr().err == "error: certificate JSON is nested too deeply\n"
+
+
+def test_verify_refuses_a_repeated_key_at_any_depth(tmp_path, capsys):
+    # The decoder would keep the last of two equal keys; verify refuses the
+    # file, whether the values agree or not, at the top and inside "report".
+    text = json.dumps(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    key = "k" * 60  # echoed as its repr is clipped: 20 characters and the length
+    cases = [
+        ('"prime": "2"', '"prime": "3", "prime": "2"', "'prime'"),
+        ('"prime": "2"', '"prime": "2", "prime": "2"', "'prime'"),
+        ('"d0": true', '"d0": false, "d0": true', "'d0'"),
+        ('"audit": []', f'"audit": [{{"{key}": 1, "{key}": 2}}]', "'" + "k" * 19 + "... (62 characters)"),
+    ]
+    for old, new, shown in cases:
+        assert text.count(old) == 1
+        path = tmp_path / "cert.json"
+        path.write_text(text.replace(old, new))
+        assert main(["verify", "--json", str(path)]) == 2, new
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: duplicate key {shown} in certificate JSON\n"
+    path.write_text(text)
+    assert main(["verify", "--json", str(path)]) == 0
 
 
 def test_no_command_prints_help(capsys):

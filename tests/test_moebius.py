@@ -7,11 +7,17 @@ import pytest
 
 from edcert import FormalPoly, Mat2, act
 from helpers import (
+    SWAP,
+    mat_det,
+    mat_inv,
+    mat_mul,
     nonzero_fraction,
     random_dense_mat,
     random_mat,
     random_shaped_mat,
     reference_act,
+    scaled,
+    shear,
 )
 
 rng = random.Random(20240901)
@@ -41,7 +47,7 @@ def test_singular_matrix_test_on_integers_agrees_with_the_determinant():
     half, third, tiny = Fraction(1, 2), Fraction(1, 3), Fraction(1, 10**30)
     with pytest.raises(ValueError):
         Mat2(half, third, Fraction(3, 4), half)
-    assert Mat2(half, third, Fraction(3, 4), half + tiny).det == tiny / 2
+    assert mat_det(Mat2(half, third, Fraction(3, 4), half + tiny)) == tiny / 2
     r = random.Random(2014)
     singular = 0
     for _ in range(2000):
@@ -71,28 +77,28 @@ def test_cubic_action_example():
 def test_identity_and_swap():
     A = random_poly()
     assert act(A, Mat2.identity()) == A
-    assert act(A, Mat2.swap()) == A.reverse()
+    assert act(A, SWAP).coeffs == A.coeffs[::-1]
 
 
 def test_compose_and_inverse():
     g = Mat2(1, 3, 0, 1)
-    assert g.compose(Mat2.identity()) == g
-    assert Mat2.swap() @ Mat2.swap() == Mat2.identity()
-    assert Mat2.shear(5) @ Mat2.shear(-2) == Mat2.shear(3)
-    assert Mat2.identity().inverse() == Mat2.identity()
-    assert Mat2(2, 0, 0, 1).inverse() == Mat2(Fraction(1, 2), 0, 0, 1)
-    assert g.inverse() == Mat2(1, -3, 0, 1)
+    assert mat_mul(g, Mat2.identity()) == g
+    assert mat_mul(SWAP, SWAP) == Mat2.identity()
+    assert mat_mul(shear(5), shear(-2)) == shear(3)
+    assert mat_inv(Mat2.identity()) == Mat2.identity()
+    assert mat_inv(Mat2(2, 0, 0, 1)) == Mat2(Fraction(1, 2), 0, 0, 1)
+    assert mat_inv(g) == Mat2(1, -3, 0, 1)
     for _ in range(50):
         h = random_mat(rng)
-        assert h @ h.inverse() == Mat2.identity()
-        assert (g @ h).det == g.det * h.det
+        assert mat_mul(h, mat_inv(h)) == Mat2.identity()
+        assert mat_det(mat_mul(g, h)) == mat_det(g) * mat_det(h)
 
 
 def test_right_action_law():
     for _ in range(100):
         A = random_poly()
         g, h = random_mat(rng), random_mat(rng)
-        assert act(act(A, g), h) == act(A, g @ h)
+        assert act(act(A, g), h) == act(A, mat_mul(g, h))
 
 
 def test_formal_degree_invariance():
@@ -163,11 +169,11 @@ def test_action_matches_elementary_transforms():
         n = A.formal_degree
         t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         u = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert act(A, Mat2.shear(t)) == A.taylor_shift(t)
-        assert act(A, Mat2(t, 0, 0, 1)) == A.scale_arg(t)
+        assert act(A, shear(t)) == A.taylor_shift(t)
+        assert act(A, Mat2(t, 0, 0, 1)).coeffs == tuple(c * t**i for i, c in enumerate(A.coeffs))
         # scalar matrices scale by u^n; [[1,0],[0,u]] is u^n A(x/u)
-        assert act(A, Mat2(u, 0, 0, u)) == A.scale_all(u**n)
-        assert act(A, Mat2(1, 0, 0, u)) == A.scale_arg(1 / u).scale_all(u**n)
+        assert act(A, Mat2(u, 0, 0, u)) == scaled(A, u**n)
+        assert act(A, Mat2(1, 0, 0, u)) == scaled(act(A, Mat2(1 / u, 0, 0, 1)), u**n)
 
 
 @pytest.mark.parametrize("shape", ["full", "upper", "lower", "upper_swap", "lower_swap"])
@@ -212,15 +218,15 @@ def test_mat2_stores_one_reduced_integer_form():
 
 
 def test_integer_formulas_agree_with_the_fraction_entries():
-    # det, compose and inverse work on (a, b, c, d, den); entries() is the
-    # Fraction view they must agree with.
+    # The tests' mat_det, mat_mul and mat_inv work on (a, b, c, d, den);
+    # entries() is the Fraction view they must agree with.
     r = random.Random(2020)
     for _ in range(300):
         g, h = random_mat(r), random_mat(r)
         a, b, c, d = g.entries()
         e, f, k, m = h.entries()
         assert Mat2(a, b, c, d) == g
-        assert (g @ h).entries() == (a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m)
+        assert mat_mul(g, h).entries() == (a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m)
         det = a * d - b * c
-        assert g.det == det
-        assert g.inverse().entries() == (d / det, -b / det, -c / det, a / det)
+        assert mat_det(g) == det
+        assert mat_inv(g).entries() == (d / det, -b / det, -c / det, a / det)

@@ -6,8 +6,10 @@ import pytest
 
 from edcert import (
     FormalPoly,
+    Mat2,
     NewtonPolygon,
     Segment,
+    act,
     dumas_concat_holds,
     is_ed,
     newton_polygon,
@@ -21,6 +23,7 @@ from helpers import (
     random_p_content_poly,
     reference_is_ed,
     reference_is_ed_strict,
+    scaled,
 )
 
 
@@ -47,7 +50,7 @@ def test_polygon_examples():
 
 def test_polygon_zero_rejected():
     with pytest.raises(ValueError):
-        newton_polygon(FormalPoly.zero(3), padic(2))
+        newton_polygon(poly(0, n=3), padic(2))
 
 
 def test_polygon_single_support_point():
@@ -109,7 +112,7 @@ def test_dumas_examples():
 def test_dumas_preconditions():
     v2 = padic(2)
     with pytest.raises(ValueError):
-        dumas_concat_holds(FormalPoly.zero(1), poly(1, 1), v2)
+        dumas_concat_holds(poly(0, n=1), poly(1, 1), v2)
     with pytest.raises(ValueError):
         dumas_concat_holds(poly(1, 0, n=1), poly(1, 1), v2)
 
@@ -196,9 +199,9 @@ def test_verdict_invariance_under_symmetries():
         t = Fraction(0)
         while t == 0:
             t = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-        assert is_ed(A.scale_all(t), v).verdict == verdict
-        assert is_ed(A.scale_arg(t), v).verdict == verdict
-        assert is_ed(A.reverse(), v).verdict == verdict
+        assert is_ed(scaled(A, t), v).verdict == verdict
+        assert is_ed(act(A, Mat2(t, 0, 0, 1)), v).verdict == verdict
+        assert is_ed(act(A, Mat2(0, 1, 1, 0)), v).verdict == verdict
 
 
 def test_shift_stability():

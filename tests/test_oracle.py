@@ -83,7 +83,7 @@ def test_known_irreducibles():
 
 def test_domain_guards():
     with pytest.raises(ValueError):
-        brute_irreducible(FormalPoly.zero(2))
+        brute_irreducible(poly(0, n=2))
     with pytest.raises(ValueError):
         brute_irreducible(poly(1, 2, 0, n=2))  # actual < formal
     with pytest.raises(ValueError):
