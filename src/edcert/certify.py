@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record, _set
-from .exact_arith import DEFAULT_RHO_BUDGET, factor
+from .exact_arith import _SEGMENT_WIDTH, DEFAULT_RHO_BUDGET, TRIAL_BOUND, _first_range, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly, _form_at, _substitute
@@ -99,6 +99,22 @@ class CandidatePrimes(Record):
         _set(self, "complete", complete)
 
 
+def _ratio_values(A: FormalPoly) -> tuple[list[int], bool]:
+    """The values above 1 that candidate_primes factors, and whether A is degenerate."""
+    n, a = A.formal_degree, A.nums
+    degenerate = n < 1 or a[0] == 0 or a[n] == 0
+    values = [n]
+    if not degenerate:
+        for alpha in (a, a[::-1]):
+            u, w = -alpha[n - 1], n * alpha[n]
+            F = _form_at(alpha, u, w)
+            if F != 0:  # else that transform fails (D0) at every prime
+                den = w**n * alpha[n]
+                g = math.gcd(F, den)
+                values += [F // g, den // g]
+    return [abs(x) for x in values if abs(x) > 1], degenerate
+
+
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
     """All primes that can carry an Eisenstein-Dumas witness reachable by the
     canonical transforms: divisors of n, plus primes at which the ratio
@@ -117,20 +133,12 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
 
     With a zero endpoint coefficient only the divisors of n are returned and
     the flag is dropped to False (degenerate case).  The flag is also False
-    whenever a factorization ran out of budget.
+    whenever a factorization ran out of budget.  This is the paper's whole
+    prime set (criterion 4 pins it to {2, 3} on x^4 - 14x^2 + 9); the search
+    calls it only when band 1 does not settle it (see Bands in certify_search).
     """
-    n, a = A.formal_degree, A.nums
-    degenerate = n < 1 or a[0] == 0 or a[n] == 0
-    values = [n]
-    if not degenerate:
-        for alpha in (a, a[::-1]):
-            u, w = -alpha[n - 1], n * alpha[n]
-            F = _form_at(alpha, u, w)
-            if F != 0:  # else that transform fails (D0) at every prime
-                den = w**n * alpha[n]
-                g = math.gcd(F, den)
-                values += [F // g, den // g]
-    found = [factor(x, rho_budget=rho_budget) for x in values if abs(x) > 1]
+    values, degenerate = _ratio_values(A)
+    found = [factor(x, rho_budget=rho_budget) for x in values]
     return CandidatePrimes(
         frozenset(p for fz in found for p in fz.primes),
         not degenerate and all(fz.complete for fz in found),
@@ -295,6 +303,13 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     which A, U(A) or a member can hit divides g_0 or g_n (orbit lemma); the
     tests compare this search with one over the primes of n, g_0 and g_n.
 
+    Bands.  One gcd per value that candidate_primes factors gives its primes
+    below 4096 (band 1), as factor's first trial range does.  If each value
+    leaves that range below (TRIAL_BOUND + 1)^2, factor would end it complete;
+    then band 1 is walked first, and candidate_primes runs only on a miss, for
+    its primes from 4096 on.  Else its primes are walked as before.  Band 1
+    has every candidate prime below a hit in it: same hit, audit and flag.
+
     Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
     and x^0 are sum a_i a^i c^(n-i) = c^n A(a/c) and sum a_i b^i d^(n-i) =
@@ -323,8 +338,19 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     if n < 2:
         raise ValueError("certification requires degree >= 2")
 
-    cand = candidate_primes(A, rho_budget=config.rho_budget)
+    values, degenerate = _ratio_values(A)
+    band1: dict[int, int] = {}  # see Bands above; only its keys are read
+    settled = all(_first_range(x, band1) < (TRIAL_BOUND + 1) ** 2
+                  for x in sorted(values, reverse=True))  # largest first: all() stops at a large tail
+    cand = None if settled else candidate_primes(A, rho_budget=config.rho_budget)
     audit: list[AuditEntry] = []
+
+    def primes():
+        nonlocal cand
+        if settled:
+            yield from sorted(band1)
+            cand = candidate_primes(A, rho_budget=config.rho_budget)
+        yield from sorted(p for p in cand.primes if not settled or p >= _SEGMENT_WIDTH)
 
     # U(A) and the family members do not depend on the prime; U(A) is built
     # when stage 2 first runs.
@@ -345,10 +371,10 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
             witness=witness,
             report=report,
             audit=tuple(audit),
-            candidate_primes_complete=cand.complete,
+            candidate_primes_complete=not degenerate if cand is None else cand.complete,
         )
 
-    for p in sorted(cand.primes):
+    for p in primes():
         vp = PAdic(p)
         report = is_ed(A, vp)
         if report.verdict:

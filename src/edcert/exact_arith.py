@@ -202,6 +202,32 @@ def _extend_segments() -> None:
     _SEGMENTS.append((lo, hi, math.prod(primes)))
 
 
+def _strip(n: int, g: int, candidates, top: int, found: dict[int, int]) -> int:
+    """n without the primes of g = gcd(n, a range's product) below top, whose
+    exponents go to found; candidates run over the range ascending (see factor)."""
+    for d in candidates:
+        if g == 1:
+            break
+        if d * d > g:
+            if g >= top:  # primes above the trial bound only
+                break
+            d = g  # the one prime of g left
+        if g % d == 0:
+            g //= d
+            while n % d == 0:
+                found[d] = found.get(d, 0) + 1
+                n //= d
+    return n
+
+
+def _first_range(n: int, found: dict[int, int]) -> int:
+    """n >= 1 without its primes below _SEGMENT_WIDTH, the first range, whose
+    exponents are added to found: the first step of factor."""
+    if not _SEGMENTS:
+        _extend_segments()
+    return _strip(n, math.gcd(n, _SEGMENTS[0][2]), _FIRST_PRIMES, _SEGMENT_WIDTH, found)
+
+
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     """Try to split composite odd n; returns (divisor or 0, iterations used)."""
     used = 0
@@ -298,20 +324,8 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         top = min(hi, TRIAL_BOUND + 1)
         g = math.gcd(n, product)
         check_prime = i == 0 or g > 1
-        primes = []
         if g > 1:
-            for d in _FIRST_PRIMES if i == 0 else range(lo, top):
-                if d * d > g:
-                    break
-                if g % d == 0:
-                    g //= d
-                    primes.append(d)
-            if 1 < g < top:  # the one prime of g left
-                primes.append(g)
-        for d in primes:
-            while n % d == 0:
-                found[d] = found.get(d, 0) + 1
-                n //= d
+            n = _strip(n, g, _FIRST_PRIMES if i == 0 else range(lo, top), top, found)
         lo = hi
         if n < top * top:
             break  # no prime below top divides n, so n is 1 or a prime

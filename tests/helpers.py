@@ -19,6 +19,7 @@ from edcert import (
     FormalPoly,
     Mat2,
     PAdic,
+    SearchConfig,
     Verdict,
     act,
     candidate_primes,
@@ -26,7 +27,14 @@ from edcert import (
     is_ed,
     upper_transform,
 )
-from edcert.certify import _failure_reason, default_t_grid, lower_transform
+from edcert.certify import (
+    _failure_reason,
+    _family_gate,
+    _family_grid,
+    _family_member,
+    default_t_grid,
+    lower_transform,
+)
 from edcert.certificate import MAX_DEGREE, PolyParseError, read_rational
 from edcert.cli import parse_poly
 from edcert.exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, _strong_lucas
@@ -615,6 +623,71 @@ def reference_gcd_search(A: FormalPoly) -> tuple[tuple, bool]:
         if n % p and is_ed(U, vp).verdict:
             return (Verdict.IRREDUCIBLE, p, 2, m, U), complete
     return (Verdict.INCONCLUSIVE, None, None, None, None), complete
+
+
+def reference_eager_search(A: FormalPoly, config: SearchConfig | None = None) -> Certificate:
+    """certify_search as it was before it walked the primes below 4096 first:
+    it calls candidate_primes, factoring every value in full, and only then
+    walks all of its primes in ascending order with stages 1, 2 and 4.  The
+    differential tests compare certify_search against it."""
+    config = config or SearchConfig()
+    n = A.formal_degree
+    if A.actual_degree != n:
+        raise ValueError("certification requires actual degree equal to the formal degree")
+    if n < 2:
+        raise ValueError("certification requires degree >= 2")
+    cand = candidate_primes(A, rho_budget=config.rho_budget)
+    audit: list[AuditEntry] = []
+    upper_pair = grid = None
+    members: dict[int, FormalPoly] = {}
+    members_skipped = 0
+
+    def success(vp, stage, transform, witness, report):
+        return Certificate(
+            A, Verdict.IRREDUCIBLE, vp.p, stage, transform, witness, report, tuple(audit), cand.complete
+        )
+
+    for p in sorted(cand.primes):
+        vp = PAdic(p)
+        report = is_ed(A, vp)
+        if report.verdict:
+            return success(vp, 1, Mat2.identity(), A, report)
+        audit.append(AuditEntry(p, 1, _failure_reason(report)))
+        if n % p == 0:
+            reason = f"residue characteristic {p} divides the degree {n}; stages 2 and 4 skipped"
+            audit.append(AuditEntry(p, 0, reason))
+            continue
+        if upper_pair is None:
+            upper_pair = upper_transform(A)
+        m, upper = upper_pair
+        report = is_ed(upper, vp)
+        if report.verdict:
+            return success(vp, 2, m, upper, report)
+        audit.append(AuditEntry(p, 2, _failure_reason(report)))
+        if grid is None:
+            grid, members_skipped = _family_grid(A)
+        for i, (t, P, Q, F, FP) in enumerate(grid):
+            if not _family_gate(vp, n, F, FP):
+                continue
+            member = members.get(i)
+            if member is None:
+                member = members[i] = _family_member(A, t, P, Q)
+            report = is_ed(member, vp)
+            if report.verdict:
+                a, b = t.numerator, t.denominator
+                m = Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
+                return success(vp, 4, m, act(A, m), report)
+        audit.append(
+            AuditEntry(
+                p,
+                4,
+                f"no Eisenstein-Dumas member among {len(grid)} admissible "
+                f"grid points ({members_skipped} skipped)",
+            )
+        )
+    return Certificate(
+        A, Verdict.INCONCLUSIVE, audit=tuple(audit), candidate_primes_complete=cand.complete
+    )
 
 
 def reference_parse_rational(text: str) -> Fraction:

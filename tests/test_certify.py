@@ -35,11 +35,14 @@ from helpers import (
     random_shaped_mat,
     reference_candidate_primes,
     reference_certify_search,
+    reference_eager_search,
     reference_gcd_search,
     scaled,
     shear,
 )
 import edcert.certify as certify_module
+import edcert.exact_arith as exact_arith_module
+import edcert.valuation as valuation_module
 from edcert.certify import (
     _failure_reason,
     _family_gate,
@@ -51,6 +54,7 @@ from edcert.certify import (
     phi,
 )
 from edcert.cli import certificate_to_json, validate_certificate_json
+from edcert.exact_arith import TRIAL_BOUND, is_probable_prime
 
 
 def poly(*coeffs, n=None):
@@ -646,3 +650,100 @@ def test_certificate_json_is_pinned_on_the_bench_corpus(monkeypatch):
             cert = certify_search(FormalPoly.from_coeffs(item.coeffs))
             h.update((json.dumps(certificate_to_json(cert)) + "\n").encode())
         assert h.hexdigest() == digest, workload
+
+
+# The search walks the candidate primes below 4096 (band 1, which the first
+# trial range finds) before it factors anything in full; see certify_search.
+_INCOMPLETE = {"prime": None, "stage": 0, "reason": "candidate prime set possibly incomplete"}
+
+
+def _eisenstein_with_a_large_tail(rng):
+    """Eisenstein at a small prime q, with a_0 = q P R for primes P, R above
+    the trial bound: L(A)'s endpoint ratio keeps P R, a tail of at least
+    (TRIAL_BOUND + 1)^2 that Brent rho must split."""
+
+    def prime_from(x):
+        while not is_probable_prime(x):
+            x += 1
+        return x
+
+    q = rng.choice((2, 3, 5, 7))
+    P, R = (prime_from(rng.randrange(TRIAL_BOUND, 10 * TRIAL_BOUND)) for _ in range(2))
+    n = rng.randint(2, 5)
+    lead = rng.choice((1, -1)) * (rng.randint(0, 9) * q + 1)
+    return FormalPoly.from_coeffs([q * P * R] + [q * rng.randint(-9, 9) for _ in range(n - 1)] + [lead])
+
+
+def test_band_one_search_matches_the_eager_search():
+    # The whole certificate, audit and completeness flag included, and its
+    # JSON text equal those of the search that factors in full first.  Brent
+    # rho is cut to 20 000 iterations where it would take seconds (both
+    # searches get the same budget): Phi_13(x + 4) takes about 1 s at the
+    # default, and so do a few of the draws planted at large primes.
+    rng = random.Random(4099)
+    cheap = SearchConfig(rho_budget=20_000)
+    draws = []
+    for i in range(540):  # the criterion-13 recipe
+        A, _ = random_ed_polynomial(rng, max_degree=6, max_unit=6, max_endpoint_val=2, extra_val=1)
+        draws.append(("ed", A.taylor_shift(rng.choice((-1, 1))) if i % 3 == 0 else A, None))
+    draws += [("cyclotomic", cyclotomic(p).taylor_shift(k), cheap)
+              for p in (3, 5, 7, 11, 13) for k in range(-4, 5)]
+    draws += [("dense", random_int_poly(rng, 6, 10, 50), None) for _ in range(60)]
+    for q in (4099, 65537, 1000003):  # band 1 misses, unless a small prime hits too
+        draws += [("planted", random_ed_polynomial(rng, prime=q, max_degree=4, max_unit=6,
+                                                   max_endpoint_val=2, extra_val=1)[0], cheap)
+                  for _ in range(60)]
+    draws += [("large tail", _eisenstein_with_a_large_tail(rng), SearchConfig(rho_budget=1))
+              for _ in range(100)]
+    draws += [("a_0 = 0", FormalPoly.from_coeffs([0] + list(random_int_poly(rng, 1, 5, 30).nums)), None)
+              for _ in range(100)]
+    seen = Counter()
+    for kind, A, config in draws:
+        cert, ref = certify_search(A, config), reference_eager_search(A, config)
+        assert cert == ref, (kind, A)
+        assert json.dumps(certificate_to_json(cert)) == json.dumps(certificate_to_json(ref)), (kind, A)
+        band = None if cert.prime is None else 1 if cert.prime < 4096 else 2
+        seen[kind, cert.verdict, band, cert.candidate_primes_complete] += 1
+    assert len(draws) >= 1000
+    assert seen["dense", Verdict.INCONCLUSIVE, None, True] >= 55, seen
+    assert sum(v for (kind, _, band, _), v in seen.items() if kind == "planted" and band == 2) >= 100, seen
+    assert seen["large tail", Verdict.IRREDUCIBLE, 1, False] == 100, seen
+    assert seen["a_0 = 0", Verdict.INCONCLUSIVE, None, False] == 100, seen
+
+
+def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
+    # Counted, not timed: the search settles these two without candidate_primes
+    # and tests no number of 4096^2 or more for primality; factoring in full
+    # first tests the cofactor 18535848059 of mixed-lowdeg/0226.  A hit with a
+    # tail of (TRIAL_BOUND + 1)^2 or more still factors in full, for its flag.
+    calls, operands = [], []
+    real_candidates, real_test = certify_module.candidate_primes, exact_arith_module.is_probable_prime
+
+    def counted_candidates(A, **kwargs):
+        calls.append(A)
+        return real_candidates(A, **kwargs)
+
+    def counted_test(n):
+        operands.append(n)
+        return real_test(n)
+
+    monkeypatch.setattr(certify_module, "candidate_primes", counted_candidates)
+    monkeypatch.setattr(exact_arith_module, "is_probable_prime", counted_test)
+    monkeypatch.setattr(valuation_module, "is_probable_prime", counted_test)
+    # x^2 + 4x + 8, and mixed-lowdeg/0226, an input at the median certify time
+    for A in (poly(8, 4, 1), poly(28, -686, -2058, 98, -196, 294, -196)):
+        cert = certify_search(A)
+        assert cert.irreducible and cert.prime < 4096 and cert.candidate_primes_complete
+        assert calls == [] and operands and max(operands) < 4096**2, (A, operands)
+    cert = certify_search(cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000))
+    assert cert.irreducible and cert.prime == 13 and len(calls) == 1
+    assert _INCOMPLETE in certificate_to_json(cert)["audit"]
+
+
+def test_the_flag_stays_exact_at_the_default_budget():
+    # Phi_13(x + 4) hits at 13, but an endpoint-ratio tail of it exhausts Brent
+    # rho at the default budget, so the certificate says its prime set is
+    # possibly incomplete, as the search that factors in full first did.
+    cert = certify_search(cyclotomic(13).taylor_shift(4))
+    assert cert.irreducible and cert.prime == 13 and not cert.candidate_primes_complete
+    assert _INCOMPLETE in certificate_to_json(cert)["audit"]
