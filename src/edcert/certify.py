@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record, _set
-from .exact_arith import _SEGMENT_WIDTH, DEFAULT_RHO_BUDGET, TRIAL_BOUND, _first_range, factor
+from .exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, Factorization, _first_range, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly, _form_at, _substitute
@@ -99,8 +99,9 @@ class CandidatePrimes(Record):
         _set(self, "complete", complete)
 
 
-def _ratio_values(A: FormalPoly) -> tuple[list[int], bool]:
-    """The values above 1 that candidate_primes factors, and whether A is degenerate."""
+def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
+    """Band 1, the primes below 4096 of the values candidate_primes factors, in
+    ascending order; the tails above 1 those values leave; whether A is degenerate."""
     n, a = A.formal_degree, A.nums
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
@@ -112,7 +113,9 @@ def _ratio_values(A: FormalPoly) -> tuple[list[int], bool]:
                 den = w**n * alpha[n]
                 g = math.gcd(F, den)
                 values += [F // g, den // g]
-    return [abs(x) for x in values if abs(x) > 1], degenerate
+    band1: dict[int, int] = {}  # only its keys are read
+    tails = sorted({_first_range(abs(x), band1) for x in values if x} - {1})
+    return sorted(band1), tails, degenerate
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -134,13 +137,13 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     With a zero endpoint coefficient only the divisors of n are returned and
     the flag is dropped to False (degenerate case).  The flag is also False
     whenever a factorization ran out of budget.  This is the paper's whole
-    prime set (criterion 4 pins it to {2, 3} on x^4 - 14x^2 + 9); the search
-    calls it only when band 1 does not settle it (see Bands in certify_search).
+    prime set (criterion 4 pins it to {2, 3} on x^4 - 14x^2 + 9): band 1 and
+    the primes of factor(tail) for each tail, as certify_search walks them.
     """
-    values, degenerate = _ratio_values(A)
-    found = [factor(x, rho_budget=rho_budget) for x in values]
+    band1, tails, degenerate = _ratio_values(A)
+    found = [factor(t, rho_budget=rho_budget) for t in tails]
     return CandidatePrimes(
-        frozenset(p for fz in found for p in fz.primes),
+        frozenset(band1).union(p for fz in found for p in fz.primes),
         not degenerate and all(fz.complete for fz in found),
     )
 
@@ -303,12 +306,14 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     which A, U(A) or a member can hit divides g_0 or g_n (orbit lemma); the
     tests compare this search with one over the primes of n, g_0 and g_n.
 
-    Bands.  One gcd per value that candidate_primes factors gives its primes
-    below 4096 (band 1), as factor's first trial range does.  If each value
-    leaves that range below (TRIAL_BOUND + 1)^2, factor would end it complete;
-    then band 1 is walked first, and candidate_primes runs only on a miss, for
-    its primes from 4096 on.  Else its primes are walked as before.  Band 1
-    has every candidate prime below a hit in it: same hit, audit and flag.
+    Bands.  _ratio_values strips each value candidate_primes factors of its
+    primes below 4096 (band 1) with one gcd, as factor's first trial range
+    does; factor(tail) is factor(value) without them, with the same cofactor.
+    The search walks band 1 ascending and, only on a miss, the sorted primes
+    of factor(tail), so every candidate prime below a hit is walked first.
+    The flag is not degenerate if every tail is below (TRIAL_BOUND + 1)^2, as
+    trial division ends it complete, else it is read from those factorizations,
+    which run on first need, at most once per search.
 
     Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
@@ -338,19 +343,22 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     if n < 2:
         raise ValueError("certification requires degree >= 2")
 
-    values, degenerate = _ratio_values(A)
-    band1: dict[int, int] = {}  # see Bands above; only its keys are read
-    settled = all(_first_range(x, band1) < (TRIAL_BOUND + 1) ** 2
-                  for x in sorted(values, reverse=True))  # largest first: all() stops at a large tail
-    cand = None if settled else candidate_primes(A, rho_budget=config.rho_budget)
+    band1, tails, degenerate = _ratio_values(A)
+    found: list[Factorization] = []
     audit: list[AuditEntry] = []
 
+    def factored():  # factor(t) for each tail t, run on first need (see Bands above)
+        if not found:
+            found.extend(factor(t, rho_budget=config.rho_budget) for t in tails)
+        return found
+
+    def complete():
+        return not degenerate and (max(tails, default=1) < (TRIAL_BOUND + 1) ** 2
+                                   or all(fz.complete for fz in factored()))
+
     def primes():
-        nonlocal cand
-        if settled:
-            yield from sorted(band1)
-            cand = candidate_primes(A, rho_budget=config.rho_budget)
-        yield from sorted(p for p in cand.primes if not settled or p >= _SEGMENT_WIDTH)
+        yield from band1
+        yield from sorted({p for fz in factored() for p in fz.primes})
 
     # U(A) and the family members do not depend on the prime; U(A) is built
     # when stage 2 first runs.
@@ -371,7 +379,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
             witness=witness,
             report=report,
             audit=tuple(audit),
-            candidate_primes_complete=not degenerate if cand is None else cand.complete,
+            candidate_primes_complete=complete(),
         )
 
     for p in primes():
@@ -407,18 +415,8 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
                 a, b = t.numerator, t.denominator
                 m = Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
                 return success(vp, 4, m, act(A, m), report)
-        audit.append(
-            AuditEntry(
-                p,
-                4,
-                f"no Eisenstein-Dumas member among {len(grid)} admissible "
-                f"grid points ({members_skipped} skipped)",
-            )
-        )
+        audit.append(AuditEntry(p, 4, f"no Eisenstein-Dumas member among {len(grid)} admissible "
+                                      f"grid points ({members_skipped} skipped)"))
 
-    return Certificate(
-        input=A,
-        verdict=Verdict.INCONCLUSIVE,
-        audit=tuple(audit),
-        candidate_primes_complete=cand.complete,
-    )
+    return Certificate(A, Verdict.INCONCLUSIVE, audit=tuple(audit),
+                       candidate_primes_complete=complete())

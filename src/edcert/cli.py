@@ -11,7 +11,7 @@ only, at most MAX_DIGITS of them, and an error echoes a long value clipped.
 ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
 
 The optional EDCERT_RHO_BUDGET environment variable caps the factoring
-effort of certify; it must be a positive integer in ASCII digits.
+effort of certify: a positive integer of at most MAX_DIGITS ASCII digits.
 
 Exit codes across all subcommands: 0 for success/true, 1 for
 inconclusive/false, 2 for usage, parse, or precondition errors.
@@ -168,20 +168,18 @@ def _cmd_newton(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     v = PAdic(args.prime)
     polygon = newton_polygon(A, v)
-    print(f"polynomial: {format_poly(A)} (formal degree {A.formal_degree})")
-    print(f"prime: {v.p}")
-    print("vertices: " + ", ".join(f"({i}, {w})" for i, w in polygon.vertices))
-    if polygon.segments:
-        print(
-            "segments: "
-            + "; ".join(f"slope {s.slope}, length {s.length}" for s in polygon.segments)
-        )
-    else:
-        print("segments: none (single support point)")
-    if args.svg:
+    segments = "; ".join(f"slope {s.slope}, length {s.length}" for s in polygon.segments)
+    lines = [
+        f"polynomial: {format_poly(A)} (formal degree {A.formal_degree})",
+        f"prime: {v.p}",
+        "vertices: " + ", ".join(f"({i}, {w})" for i, w in polygon.vertices),
+        f"segments: {segments or 'none (single support point)'}",
+    ]
+    if args.svg:  # written before any line is printed: newton prints all of its text or none
         with open(args.svg, "w") as fh:
             fh.write(newton_polygon_svg(A, v))
-        print(f"svg written to {args.svg}")
+        lines.append(f"svg written to {args.svg}")
+    print("\n".join(lines))
     return 0
 
 
@@ -209,8 +207,10 @@ def _cmd_act(args) -> int:
 def _cmd_certify(args) -> int:
     A = parse_poly(args.poly, args.formal_degree)
     budget = os.environ.get("EDCERT_RHO_BUDGET")
-    if budget and not (budget.isascii() and budget.isdigit()):
-        raise ValueError(f"EDCERT_RHO_BUDGET must be a positive integer in ASCII digits, got {budget!r}")
+    if budget and not (budget.isascii() and budget.isdigit()
+                       and len(budget) <= MAX_DIGITS and int(budget)):
+        raise ValueError(f"EDCERT_RHO_BUDGET must be a positive integer of at most {MAX_DIGITS} "
+                         f"ASCII digits, got {_clip(repr(budget))}")
     config = SearchConfig(rho_budget=int(budget)) if budget else SearchConfig()
     cert = certify_search(A, config)
     # certificate_to_json refuses every integer it would write past

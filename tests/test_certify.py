@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import sys
 import types
@@ -633,6 +634,7 @@ def test_orbit_lemma_lower_hit_implies_upper_hit():
 # of them are current, so these pin the whole text.
 _PINNED_CERTIFICATES = {
     "mixed-lowdeg": "c02a6825bebd941ff2a2cb2089bd05c3e5327c14dc6878a98b7b348e7d43f9c0",
+    "cyclo-shift": "a4880dd9408885e747b37a076fa7d04b92faa1aa2ed0eb0072b92720ac1ca2bd",
     "dense-search": "955af21d146e0d12052429a5e541efd300ffe6b64d4faef8a58807600e21b19e",
 }
 
@@ -712,22 +714,22 @@ def test_band_one_search_matches_the_eager_search():
 
 
 def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
-    # Counted, not timed: the search settles these two without candidate_primes
-    # and tests no number of 4096^2 or more for primality; factoring in full
+    # Counted, not timed: the search settles these two without factor and
+    # tests no number of 4096^2 or more for primality; factoring in full
     # first tests the cofactor 18535848059 of mixed-lowdeg/0226.  A hit with a
-    # tail of (TRIAL_BOUND + 1)^2 or more still factors in full, for its flag.
+    # tail of (TRIAL_BOUND + 1)^2 or more still factors its tails, for its flag.
     calls, operands = [], []
-    real_candidates, real_test = certify_module.candidate_primes, exact_arith_module.is_probable_prime
+    real_factor, real_test = certify_module.factor, exact_arith_module.is_probable_prime
 
-    def counted_candidates(A, **kwargs):
-        calls.append(A)
-        return real_candidates(A, **kwargs)
+    def counted_factor(n, **kwargs):
+        calls.append(n)
+        return real_factor(n, **kwargs)
 
     def counted_test(n):
         operands.append(n)
         return real_test(n)
 
-    monkeypatch.setattr(certify_module, "candidate_primes", counted_candidates)
+    monkeypatch.setattr(certify_module, "factor", counted_factor)
     monkeypatch.setattr(exact_arith_module, "is_probable_prime", counted_test)
     monkeypatch.setattr(valuation_module, "is_probable_prime", counted_test)
     # x^2 + 4x + 8, and mixed-lowdeg/0226, an input at the median certify time
@@ -736,8 +738,36 @@ def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
         assert cert.irreducible and cert.prime < 4096 and cert.candidate_primes_complete
         assert calls == [] and operands and max(operands) < 4096**2, (A, operands)
     cert = certify_search(cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000))
-    assert cert.irreducible and cert.prime == 13 and len(calls) == 1
+    assert cert.irreducible and cert.prime == 13 and calls
     assert _INCOMPLETE in certificate_to_json(cert)["audit"]
+
+
+def test_a_search_strips_each_value_once_and_factors_each_tail_once(monkeypatch):
+    # x^2 + 4099 misses in band 1 ({2}) and hits at 4099, a tail; Phi_13(x + 4)
+    # hits at 13 in band 1 and factors its large tails for the flag.
+    first_range_product = math.prod(p for p in range(2, 4096) if is_probable_prime(p))
+    strips, operands = [], []
+    real_values, real_factor = certify_module._ratio_values, certify_module.factor
+
+    def counted_values(A):
+        strips.append(A)
+        return real_values(A)
+
+    def counted_factor(n, **kwargs):
+        operands.append(n)
+        return real_factor(n, **kwargs)
+
+    monkeypatch.setattr(certify_module, "_ratio_values", counted_values)
+    monkeypatch.setattr(certify_module, "factor", counted_factor)
+    for A, config, prime in ((poly(4099, 0, 1), None, 4099),
+                             (cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000), 13)):
+        strips.clear()
+        operands.clear()
+        cert = certify_search(A, config)
+        assert cert.irreducible and cert.prime == prime, A
+        assert strips == [A], A
+        assert operands and len(set(operands)) == len(operands), (A, operands)
+        assert all(math.gcd(x, first_range_product) == 1 for x in operands), (A, operands)
 
 
 def test_the_flag_stays_exact_at_the_default_budget():

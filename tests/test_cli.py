@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from edcert import CandidatePrimes, Certificate, FormalPoly, Mat2, Verdict, act, is_ed
+from edcert import Certificate, Factorization, FormalPoly, Mat2, Verdict, act, is_ed
 from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _decimal
 from edcert.cli import (
     certificate_to_json,
@@ -258,6 +258,18 @@ def test_newton_command(capsys):
     assert "slope -2, length 1" in out and "slope -1, length 1" in out
 
 
+def test_newton_prints_all_of_its_text_or_none(capsys, tmp_path):
+    path = tmp_path / "missing" / "n.svg"
+    assert main(["newton", "--poly", "x^2+6x+8", "--prime", "2", "--svg", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and not path.exists()
+    path = tmp_path / "n.svg"
+    assert main(["newton", "--poly", "x^2+6x+8", "--prime", "2", "--svg", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("polynomial: ") and out.endswith(f"svg written to {path}\n")
+    assert path.read_text().startswith("<svg ")
+
+
 def test_act_command(capsys):
     assert main(["act", "--poly", "x^3+x^2-2", "--matrix", "1,0;1,1"]) == 0
     assert capsys.readouterr().out.strip() == "-5x^2 - 6x - 2 (formal degree 3)"
@@ -284,12 +296,9 @@ def test_certify_prints_all_of_its_text_or_none(capsys, monkeypatch, tmp_path):
     # denominator 256 * 10^4500, of 4503 digits, which neither the text nor
     # the JSON can carry.  certify used to print four lines of the
     # certificate and then exit with the interpreter's int-to-str error.
-    # The candidate primes are fixed to {3}, since factoring the endpoint
-    # ratios of this input takes about 10 s.
-    monkeypatch.setattr(
-        "edcert.certify.candidate_primes",
-        lambda A, rho_budget: CandidatePrimes(frozenset({3}), False),
-    )
+    # factor leaves every tail unfactored, since factoring the endpoint
+    # ratios' tails of this input takes about 10 s; 3 is in band 1.
+    monkeypatch.setattr("edcert.certify.factor", lambda t, rho_budget: Factorization((), t))
     path = tmp_path / "c.json"
     text = "1" + "0" * 1500 + "x^4+x^3+x+4"
     assert main(["certify", "--poly", text, "--json", str(path)]) == 2
@@ -319,13 +328,19 @@ def test_certify_env_var_caps_factoring_effort(capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("budget", ["\u0661\u0660\u0660\u0660\u0660\u0660", "1_000", "-5", "0"])
+@pytest.mark.parametrize("budget", [
+    "\u0661\u0660\u0660\u0660\u0660\u0660", "1_000", "-5", "0", "000",
+    pytest.param("7" * 5000, id="5000 digits"), pytest.param("z" * 5000, id="5000 letters"),
+])
 def test_certify_rejects_a_bad_rho_budget(budget, capsys, monkeypatch):
-    # Arabic-Indic 100000, an underscore, a negative and a zero budget
+    # Arabic-Indic 100000, an underscore, a negative and a zero budget, and
+    # over MAX_DIGITS digits or characters: one message naming the variable,
+    # which echoes a long value clipped
     monkeypatch.setenv("EDCERT_RHO_BUDGET", budget)
     assert main(["certify", "--poly", "x^2+4x+8"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("ASCII digits" in err or "at least 1" in err), err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: EDCERT_RHO_BUDGET must be a positive integer"), err
+    assert "int_max_str_digits" not in err and len(err) < 200, err
 
 
 def test_formal_degree_flag(capsys):

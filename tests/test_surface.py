@@ -24,11 +24,12 @@ EXPORTS = {
     "Segment": "the sides of a NewtonPolygon",
     "Verdict": "Certificate.verdict",
     "act": "the CLI's act command; certify builds U(A) with it",
-    "candidate_primes": "certify_search calls it",
+    "candidate_primes": "the paper's prime set, pinned by criterion 4; bench tracer target "
+                        "certify.candidate_primes",
     "certificate_to_json": "the CLI's certify --json; the benchmark calls it",
     "certify_search": "the CLI's certify command",
     "dumas_concat_holds": "the CLI's dumas command",
-    "factor": "candidate_primes calls it",
+    "factor": "certify_search and candidate_primes factor each tail with it",
     "is_ed": "certify_search and the CLI's ed-check call it",
     "is_probable_prime": "PAdic and the checker call it",
     "newton_polygon": "the CLI's newton command",
