@@ -5,7 +5,7 @@ Certifies irreducibility in Q[x] by locating a prime p and a nonsingular
 polynomial at the p-adic valuation.  All arithmetic is exact.
 """
 
-from .certificate import certificate_to_json, validate_certificate_json
+from .certificate import certificate_to_json, read_certificate, validate_certificate_json
 from .certify import (
     AuditEntry,
     CandidatePrimes,
@@ -53,6 +53,7 @@ __all__ = [
     "is_ed",
     "is_probable_prime",
     "newton_polygon",
+    "read_certificate",
     "upper_transform",
     "validate_certificate_json",
 ]

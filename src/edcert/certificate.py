@@ -1,4 +1,5 @@
-"""Certificate text: the grammar, the JSON writer, and an independent checker.
+"""Certificate text: the grammar, the JSON writer and reader, and an
+independent checker.
 
 One grammar covers the polynomials and rationals that the CLI reads and that
 a certificate stores.  Digits are ASCII 0-9; whitespace may appear between
@@ -47,7 +48,12 @@ equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
     failing_index integers, or null where the recomputed value is None.
 
 Inconclusive certificates get a shape check only.  The checker is total: any
-malformed JSON value gives (False, reason), never an exception.  Below psi_13
+malformed JSON value gives (False, reason), never an exception.  The text
+itself is read by read_certificate, which refuses with ValueError what the
+JSON decoder alone would accept silently or fail on with the interpreter's
+error: text longer than MAX_CERTIFICATE_CHARS, an integer of more than
+MAX_DIGITS digits, a key repeated in an object at any depth, and nesting
+deeper than the decoder's recursion limit.  Below psi_13
 it tests the stated prime with its own Miller-Rabin, all 13 prime bases up to
 41, which is a proof there (Sorenson & Webster, Math. Comp. 2017).  The only
 import from the rest of the package is the BPSW test it runs from psi_13 on.
@@ -55,6 +61,7 @@ import from the rest of the package is the BPSW test it runs from psi_13 on.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -68,6 +75,11 @@ MAX_DEGREE = 1000
 #: Most digits in one integer literal read or printed: the interpreter's
 #: default limit on conversions between int and str.
 MAX_DIGITS = 4300
+
+#: Longest certificate text read_certificate accepts, in characters: over three
+#: times the 17.3 million or so of a degree-MAX_DEGREE certificate whose input
+#: and witness have MAX_DIGITS-digit numerators and denominators.
+MAX_CERTIFICATE_CHARS = 2**26
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981  # the least odd composite passing all 13
@@ -298,6 +310,35 @@ def certificate_to_json(cert) -> dict:
     }
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, refused past MAX_DIGITS digits with a message of ours."""
+    if (size := len(text.lstrip("-"))) > MAX_DIGITS:
+        raise ValueError(f"JSON integer of {size} digits exceeds the limit {MAX_DIGITS}")
+    return int(text)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key repeated in it is refused, at any depth."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {_clip(repr(key))} in certificate JSON")
+        data[key] = value
+    return data
+
+
+def read_certificate(text: str) -> object:
+    """The JSON value of certificate text, a dict for every certificate,
+    ready for validate_certificate_json; ValueError for anything the module
+    docstring lists as refused, or for text that is not JSON."""
+    if len(text) > MAX_CERTIFICATE_CHARS:
+        raise ValueError(f"certificate text exceeds the limit of {MAX_CERTIFICATE_CHARS} characters")
+    try:
+        return json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
+
+
 def _val(m: int, p: int) -> int:
     """Exponent of p in the nonzero integer m, by repeated squaring: strip
     p^(2^j) for j = 0, 1, ... while it divides m, then test the smaller
@@ -326,13 +367,9 @@ def _binary_form(alpha: list[int], X: int, Y: int) -> int:
 def _acts_to(D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: list[int]) -> bool:
     """Whether the witness (Dw, omega) is the input (D, alpha) acted on by the
     matrix with integer entries g = lam * [a, b, c, d]: the identity
-    D lam^n Omega(x) = Dw F(ax+b, cx+d) of the module docstring.
-
-    For c = 0, every matrix the search writes, it is checked coefficient by
-    coefficient: F(ax+b, d) = P(ax+b) with P(y) = sum alpha_i d^(n-i) y^i,
-    and the coefficients P_i of P(y+b), a Taylor shift by synthetic division,
-    give D lam^n omega_i = Dw a^i P_i for i = 0..n.  For c != 0 the
-    identity is tested at the points x = 0..n instead."""
+    D lam^n Omega(x) = Dw F(ax+b, cx+d) of the module docstring, checked
+    coefficient by coefficient for c = 0 and at x = 0..n otherwise (see
+    there)."""
     n = len(alpha) - 1
     if len(omega) != n + 1:
         return False

@@ -124,15 +124,12 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     b_0/b_n of U(A)'s endpoint coefficients (or c_0/c_n of L(A)'s) has
     nonzero valuation, i.e. primes dividing its numerator or denominator.
 
-    Neither transform is built: by the endpoint lemma (see certify_search)
-    U(A) has endpoints b_0 = A(s), s = -a_{n-1}/(n a_n), and b_n = a_n, and
-    L(A) has c_0 = a_0 and c_n = sum a_i s'^(n-i) = reverse(A)(s'),
-    s' = -a_1/(n a_0).  Both ratios are read on integers from the binary
-    form of the numerators alpha = A.nums: with (u, w) = (-alpha_(n-1),
-    n alpha_n), one Horner pass gives F = sum alpha_i u^i w^(n-i), so that
-    b_0/b_n = F / (w^n alpha_n), reduced by one gcd; the same pass over the
-    reversed numerators gives c_n/c_0, the inverse of L(A)'s ratio, which has
-    the same primes.
+    Neither transform is built: the endpoint lemma (see certify_search)
+    gives b_0/b_n = A(s)/a_n, s = -a_{n-1}/(n a_n).  On the numerators
+    alpha = A.nums, with (u, w) = (-alpha_(n-1), n alpha_n), one Horner pass
+    gives F = sum alpha_i u^i w^(n-i) and b_0/b_n = F / (w^n alpha_n),
+    reduced by one gcd; the same pass over the reversed numerators gives
+    c_n/c_0, the inverse of L(A)'s ratio, which has the same primes.
 
     With a zero endpoint coefficient only the divisors of n are returned and
     the flag is dropped to False (degenerate case).  The flag is also False
@@ -166,7 +163,8 @@ def _family_grid(A: FormalPoly) -> tuple[list[tuple[Fraction, int, int, int, int
     With t = a/b, alpha = A.nums and n the formal degree, F = sum alpha_i
     a^i b^(n-i) = den b^n A(t) and G, the same form over the numerators
     i alpha_i of A', is den b^(n-1) A'(t); so phi(t) = P/Q with P = aG - nF
-    and Q = bG, left unreduced, and F(P, Q) = den Q^n A(phi(t)).
+    and Q = bG, left unreduced.  F and F(P, Q) give the member's endpoints
+    (endpoint lemma, see certify_search).
     """
     n, alpha = A.formal_degree, A.nums
     dalpha = [i * x for i, x in enumerate(alpha)][1:]

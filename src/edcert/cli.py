@@ -2,10 +2,12 @@
 
 The subcommands only read arguments, call the library and print.  The text
 grammar of --poly, --matrix and the certificate rationals, the certificate
-JSON format and its checker live in edcert.certificate, and the grammar's
-names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from there;
-parse_poly wraps its polynomial reader in a FormalPoly, and parse_matrix
-reads each --matrix entry with its rational reader.
+JSON format, its reader and its checker live in edcert.certificate, and the
+grammar's names (PolyParseError, MAX_DEGREE, MAX_DIGITS) are imported from
+there; parse_poly wraps its polynomial reader in a FormalPoly, parse_matrix
+reads each --matrix entry with its rational reader, and verify reads at most
+MAX_CERTIFICATE_CHARS + 1 characters of its file, for read_certificate to
+refuse the longer ones.
 The integer flags --prime and --formal-degree take a sign and ASCII digits
 only, at most MAX_DIGITS of them, and an error echoes a long value clipped.
 ed-check tests (D0)-(D2) with the paper's non-strict bound in (D2).
@@ -26,11 +28,13 @@ import sys
 from fractions import Fraction
 
 from .certificate import (
+    MAX_CERTIFICATE_CHARS,
     MAX_DIGITS,
     _RATIONAL,
     _clip,
     certificate_to_json,
     format_poly,
+    read_certificate,
     read_poly,
     read_rational,
     validate_certificate_json,
@@ -43,13 +47,8 @@ from .valuation import PAdic
 
 
 def parse_poly(text: str, formal_degree: int | None = None) -> FormalPoly:
-    """The polynomial grammar read by certificate.read_poly, as a FormalPoly.
-
-    The formal degree is the largest exponent carrying a nonzero coefficient
-    unless overridden upward; an override below the actual degree is an error,
-    and so is an exponent or override above MAX_DEGREE.  Errors carry their
-    position, and the first in the text is the one reported.
-    """
+    """certificate.read_poly(text, formal_degree) as a FormalPoly; see there
+    for the formal degree and the errors."""
     return FormalPoly(*read_poly(text, formal_degree))
 
 
@@ -259,30 +258,10 @@ def _cmd_dumas(args) -> int:
     return 0 if ok else 1
 
 
-def _json_int(text: str) -> int:
-    """A JSON integer, refused past MAX_DIGITS digits with a message of ours."""
-    if (size := len(text.lstrip("-"))) > MAX_DIGITS:
-        raise ValueError(f"JSON integer of {size} digits exceeds the limit {MAX_DIGITS}")
-    return int(text)
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict; a key repeated in it is refused, at any depth."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"duplicate key {_clip(repr(key))} in certificate JSON")
-        data[key] = value
-    return data
-
-
 def _cmd_verify(args) -> int:
     with open(args.json) as fh:
-        try:
-            data = json.load(fh, parse_int=_json_int, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise ValueError("certificate JSON is nested too deeply") from None
-    ok, reason = validate_certificate_json(data)
+        text = fh.read(MAX_CERTIFICATE_CHARS + 1)
+    ok, reason = validate_certificate_json(read_certificate(text))
     print(f"{'valid' if ok else 'INVALID'}: {reason}")
     return 0 if ok else 1
 
@@ -349,7 +328,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

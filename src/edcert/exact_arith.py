@@ -19,11 +19,9 @@ divide n, so a range without a factor costs one gcd instead of a division per
 odd number, and a range with one is divided only while d^2 <= g.  The table
 is built by a segmented sieve one range at a time, only as far as some call's
 trial division has reached; nothing is built at import, and only the products
-are kept, with the primes of the first range, [2, 4096): a g from that range
-is split over its 564 primes rather than every integer up to sqrt(g).  A
-cofactor that has no prime factor below its square root (known after a
-range), or that Miller-Rabin proves prime (below psi_13, about 3.3e24), ends
-the walk early.
+are kept.  A cofactor that has no prime factor below its square root (known
+after a range), or that Miller-Rabin proves prime (below psi_13, about
+3.3e24), ends the walk early.
 
 Primality: psi_k, the least odd composite that passes strong probable-prime
 tests to all of the first k prime bases (OEIS A014233), is
@@ -77,8 +75,6 @@ _SEGMENT_WIDTH = 4096
 # Extended without a lock: two threads extending it at once can append a
 # range twice, which factor() walks through again without effect.
 _SEGMENTS: list[tuple[int, int, int]] = []
-# The primes of the first range, [2, _SEGMENT_WIDTH), kept when it is sieved.
-_FIRST_PRIMES: list[int] = []
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -137,21 +133,10 @@ def _strong_lucas(n: int) -> bool:
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test with the first k prime bases, k the least
-    with n < psi_k, which is a proof below psi_13 ~ 3.3e24:
-
-        n below          2047  1373653  25326001  3215031751  2152302898747
-        bases            2     2, 3     2 .. 5    2 .. 7      2 .. 11
-
-        n below          3474749660383  341550071728321  3825123056546413051
-        bases            2 .. 13        2 .. 17          2 .. 23
-
-        n below          318665857834031151167461  3317044064679887385961981
-        bases            2 .. 37                   2 .. 41
-
-    (OEIS A014233; Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
-    2014; Sorenson & Webster, Math. Comp. 2017).  From psi_13 on all 13 bases
-    run and a strong Lucas test is added (BPSW: Baillie & Wagstaff, Math.
-    Comp. 1980), with no known counterexample."""
+    with n < psi_k (the table in the module docstring), which is a proof
+    below psi_13 ~ 3.3e24.  From psi_13 on all 13 bases run and a strong
+    Lucas test is added (BPSW: Baillie & Wagstaff, Math. Comp. 1980), with no
+    known counterexample."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -196,16 +181,13 @@ def _extend_segments() -> None:
     for p in _primes_below(math.isqrt(hi - 1) + 1):
         start = max(p * p, -(-lo // p) * p)
         sieve[start - lo :: p] = bytes(len(range(start, hi, p)))
-    primes = list(itertools.compress(range(lo, hi), sieve))
-    if lo == 2:
-        _FIRST_PRIMES[:] = primes
-    _SEGMENTS.append((lo, hi, math.prod(primes)))
+    _SEGMENTS.append((lo, hi, math.prod(itertools.compress(range(lo, hi), sieve))))
 
 
-def _strip(n: int, g: int, candidates, top: int, found: dict[int, int]) -> int:
-    """n without the primes of g = gcd(n, a range's product) below top, whose
-    exponents go to found; candidates run over the range ascending (see factor)."""
-    for d in candidates:
+def _strip(n: int, g: int, lo: int, top: int, found: dict[int, int]) -> int:
+    """n without the primes of g = gcd(n, the product of the range from lo)
+    below top, whose exponents go to found (see factor)."""
+    for d in range(lo, top):
         if g == 1:
             break
         if d * d > g:
@@ -225,7 +207,7 @@ def _first_range(n: int, found: dict[int, int]) -> int:
     exponents are added to found: the first step of factor."""
     if not _SEGMENTS:
         _extend_segments()
-    return _strip(n, math.gcd(n, _SEGMENTS[0][2]), _FIRST_PRIMES, _SEGMENT_WIDTH, found)
+    return _strip(n, math.gcd(n, _SEGMENTS[0][2]), 2, _SEGMENT_WIDTH, found)
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
@@ -294,18 +276,18 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     starting above the square root of what is left.  In a range [lo, hi), let
     top = min(hi, TRIAL_BOUND + 1).  g = gcd(n, product of the range's primes)
     is squarefree, and its primes are stripped from n in ascending order while
-    d^2 <= g, d running over the range's primes in the first range and over
-    every integer in the others: a composite d never divides g, as g's primes
-    lie in the range and those below d are already stripped from it.  What is
-    left of g is then 1, one prime, or a product of primes above the bound; a
-    single prime below top is stripped at once.  No prime above TRIAL_BOUND is
-    stripped, even where the last range holds it: the cofactor that rho starts
-    from, and the seed of its generator, are then those of division by every
-    number up to the bound.  After a range every prime below top is stripped,
-    so a cofactor below top^2 is 1 or a prime, and the walk ends there.  A
-    cofactor proven prime after the first range, or after one that divided n,
-    ends it too, with the result the full walk would give: no later range
-    divides it, and it is then recorded as a prime either way.  Raises ValueError for n == 0.
+    d^2 <= g, d running over every integer in [lo, top): a composite d never
+    divides g, as g's primes lie in the range and those below d are already
+    stripped from it.  What is left of g is then 1, one prime, or a product of
+    primes above the bound; a single prime below top is stripped at once.  No
+    prime above TRIAL_BOUND is stripped, even where the last range holds it:
+    the cofactor that rho starts from, and the seed of its generator, are then
+    those of division by every number up to the bound.  After a range every
+    prime below top is stripped, so a cofactor below top^2 is 1 or a prime,
+    and the walk ends there.  A cofactor proven prime after the first range,
+    or after one that divided n, ends it too, with the result the full walk
+    would give: no later range divides it, and it is then recorded as a prime
+    either way.  Raises ValueError for n == 0.
     The randomized stage is seeded from the cofactor trial division leaves,
     so results are reproducible run to run.
     """
@@ -325,7 +307,7 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         g = math.gcd(n, product)
         check_prime = i == 0 or g > 1
         if g > 1:
-            n = _strip(n, g, _FIRST_PRIMES if i == 0 else range(lo, top), top, found)
+            n = _strip(n, g, lo, top, found)
         lo = hi
         if n < top * top:
             break  # no prime below top divides n, so n is 1 or a prime

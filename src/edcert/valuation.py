@@ -28,25 +28,15 @@ from .exact_arith import is_probable_prime
 def _int_val(n: int, p: int) -> int:
     """Exponent of p in the nonzero integer n.
 
-    Most values a search reads have valuation 0, 1 or 2, so the first three
-    factors p are stripped by straight-line steps.  Past that, a short n
-    (under 1024 bits, where a division by p costs little) is stripped one
-    factor at a time.  A long n is reduced modulo p, p^2, p^4, ... until a
-    power p^(2^m) leaves a remainder r != 0.  Then v(n) < 2^m, so v(n) =
-    v(r), and the binary digits of v(r) are read off by one division of the
-    short r per smaller power, largest first: about 2 log2(v) divisions in
-    place of v.
+    A short n (under 1024 bits, where a division by p costs little) is
+    stripped one factor at a time; most values a search reads have valuation
+    0, 1 or 2, so that loop runs at most twice for them.  A long n is reduced
+    modulo p, p^2, p^4, ... until a power p^(2^m) leaves a remainder r != 0.
+    Then v(n) < 2^m, so v(n) = v(r), and the binary digits of v(r) are read
+    off by one division of the short r per smaller power, largest first:
+    about 2 log2(v) divisions in place of v.
     """
-    if n % p:
-        return 0
-    n //= p
-    if n % p:
-        return 1
-    n //= p
-    if n % p:
-        return 2
-    n //= p
-    k = 3
+    k = 0
     if n.bit_length() < 1024:
         while n % p == 0:
             n //= p

@@ -20,6 +20,7 @@ from edcert import (
     is_probable_prime,
     moebius,
     poly,
+    read_certificate,
     validate_certificate_json,
 )
 from edcert.cli import parse_poly
@@ -180,6 +181,61 @@ def test_triangular_identity_agrees_with_evaluation_at_n_plus_1_points():
             assert certificate._acts_to(*args, W.den, omega) is want, (A, g, omega)
         kinds["full" if not triangular else "b = 0" if entries[1] == 0 else "triangular"] += 1
     assert kinds["triangular"] > 800 and kinds["b = 0"] > 50 and kinds["full"] == 200, kinds
+
+
+def _valid_text() -> str:
+    text = json.dumps(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    assert '"prime": "2"' in text and '"d0": true' in text and '"formal_degree": 2' in text
+    return text
+
+
+def _refused(text: str) -> str:
+    try:
+        read_certificate(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("read_certificate accepted the text")
+
+
+def test_reader_refuses_a_key_repeated_at_any_depth():
+    text = _valid_text()
+    for old, new, shown in [
+        ('"prime": "2"', '"prime": "3", "prime": "2"', "'prime'"),  # depth 1
+        ('"d0": true', '"d0": true, "d0": true', "'d0'"),  # depth 2, inside "report"
+    ]:
+        assert _refused(text.replace(old, new)) == f"duplicate key {shown} in certificate JSON"
+        # the decoder alone keeps the last value, and the checker then passes it
+        assert validate_certificate_json(json.loads(text.replace(old, new)))[0]
+
+
+def test_reader_refuses_a_json_integer_over_the_digit_limit():
+    text = _valid_text().replace('"formal_degree": 2', '"formal_degree": ' + "7" * 4301)
+    assert _refused(text) == "JSON integer of 4301 digits exceeds the limit 4300"
+    assert read_certificate(_valid_text().replace('"formal_degree": 2', '"formal_degree": ' + "7" * 4300))
+
+
+def test_reader_refuses_nesting_deeper_than_the_decoder_allows():
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, _valid_text().replace('"audit": []', '"audit": ' + deep)):
+        assert _refused(text) == "certificate JSON is nested too deeply"
+
+
+def test_reader_refuses_text_over_the_length_limit(monkeypatch):
+    text = _valid_text()
+    monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CHARS", len(text))
+    assert read_certificate(text)
+    assert _refused(text + " ") == f"certificate text exceeds the limit of {len(text)} characters"
+
+
+def test_reader_round_trips_a_valid_certificate():
+    for poly_text in ("x^2+4x+8", "1+x+x^2+x^3+x^4", "x^4-14x^2+9"):
+        data = certificate_to_json(certify_search(parse_poly(poly_text)))
+        text = json.dumps(data, indent=2)
+        assert read_certificate(text) == data
+        assert validate_certificate_json(read_certificate(text)) == validate_certificate_json(data)
+    assert validate_certificate_json(read_certificate(_valid_text())) == (
+        True, "witness is Eisenstein-Dumas at p = 2"
+    )
 
 
 def test_witness_strings_are_the_fractions_as_text():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import edcert.certificate
+import edcert.cli
 from edcert import Certificate, Factorization, FormalPoly, Mat2, Verdict, act, is_ed
 from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _decimal
 from edcert.cli import (
@@ -522,6 +524,24 @@ def test_verify_refuses_a_repeated_key_at_any_depth(tmp_path, capsys):
         assert captured.out == "" and captured.err == f"error: duplicate key {shown} in certificate JSON\n"
     path.write_text(text)
     assert main(["verify", "--json", str(path)]) == 0
+
+
+def test_verify_reads_at_most_the_text_limit(tmp_path, monkeypatch, capsys):
+    # verify reads one character past the limit and no more, so an endless
+    # file ends in one message, not in a read until memory runs out.
+    text = json.dumps(certificate_to_json(certify_search(parse_poly("x^2+4x+8"))))
+    for module in (edcert.certificate, edcert.cli):
+        monkeypatch.setattr(module, "MAX_CERTIFICATE_CHARS", len(text))
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["verify", "--json", str(path)]) == 0
+    message = f"error: certificate text exceeds the limit of {len(text)} characters\n"
+    path.write_text(text + " " * 10**6)
+    for name in (str(path), "/dev/zero"):
+        capsys.readouterr()
+        assert main(["verify", "--json", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
 
 def test_no_command_prints_help(capsys):

@@ -33,6 +33,7 @@ EXPORTS = {
     "is_ed": "certify_search and the CLI's ed-check call it",
     "is_probable_prime": "PAdic and the checker call it",
     "newton_polygon": "the CLI's newton command",
+    "read_certificate": "the CLI's verify command reads the file with it",
     "upper_transform": "certify_search calls it",
     "validate_certificate_json": "the CLI's verify command; the benchmark calls it",
 }
