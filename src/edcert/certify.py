@@ -32,7 +32,8 @@ import math
 from fractions import Fraction
 
 from ._record import Record, _set
-from .exact_arith import DEFAULT_RHO_BUDGET, TRIAL_BOUND, Factorization, _first_range, factor
+from .exact_arith import (DEFAULT_RHO_BUDGET, TRIAL_BOUND, Factorization, _first_range_primes,
+                          _strip, factor)
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly, _form_at, _substitute
@@ -101,7 +102,9 @@ class CandidatePrimes(Record):
 
 def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
     """Band 1, the primes below 4096 of the values candidate_primes factors, in
-    ascending order; the tails above 1 those values leave; whether A is degenerate."""
+    ascending order; the tails above 1 those values leave; whether A is degenerate.
+    Band 1 comes from one gcd per search, over the product of the nonzero
+    |values|, and a value's tail is the value without the band-1 primes."""
     n, a = A.formal_degree, A.nums
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
@@ -113,9 +116,10 @@ def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
                 den = w**n * alpha[n]
                 g = math.gcd(F, den)
                 values += [F // g, den // g]
-    band1: dict[int, int] = {}  # only its keys are read
-    tails = sorted({_first_range(abs(x), band1) for x in values if x} - {1})
-    return sorted(band1), tails, degenerate
+    values = [abs(x) for x in values if x]
+    band1 = _first_range_primes(math.prod(values))
+    tails = sorted({_strip(x, band1, {}) for x in values} - {1})
+    return band1, tails, degenerate
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -304,9 +308,11 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     which A, U(A) or a member can hit divides g_0 or g_n (orbit lemma); the
     tests compare this search with one over the primes of n, g_0 and g_n.
 
-    Bands.  _ratio_values strips each value candidate_primes factors of its
-    primes below 4096 (band 1) with one gcd, as factor's first trial range
-    does; factor(tail) is factor(value) without them, with the same cofactor.
+    Bands.  _ratio_values finds band 1, the primes below 4096 of the values
+    candidate_primes factors, from one gcd of their product with the product
+    of those primes, split over them as factor's first trial range is, and
+    strips each value of them; factor(tail) is factor(value) without them,
+    with the same cofactor.
     The search walks band 1 ascending and, only on a miss, the sorted primes
     of factor(tail), so every candidate prime below a hit is walked first.
     The flag is not degenerate if every tail is below (TRIAL_BOUND + 1)^2, as

@@ -19,9 +19,12 @@ divide n, so a range without a factor costs one gcd instead of a division per
 odd number, and a range with one is divided only while d^2 <= g.  The table
 is built by a segmented sieve one range at a time, only as far as some call's
 trial division has reached; nothing is built at import, and only the products
-are kept.  A cofactor that has no prime factor below its square root (known
-after a range), or that Miller-Rabin proves prime (below psi_13, about
-3.3e24), ends the walk early.
+are kept, with the 564 primes of the first range, [2, 4096).  A g from that
+range is split over those primes rather than over every integer up to
+sqrt(g), and _first_range_primes gives them for any integer from one gcd:
+the search's band 1 (see certify_search).  A cofactor that has no prime
+factor below its square root (known after a range), or that Miller-Rabin
+proves prime (below psi_13, about 3.3e24), ends the walk early.
 
 Primality: psi_k, the least odd composite that passes strong probable-prime
 tests to all of the first k prime bases (OEIS A014233), is
@@ -75,6 +78,8 @@ _SEGMENT_WIDTH = 4096
 # Extended without a lock: two threads extending it at once can append a
 # range twice, which factor() walks through again without effect.
 _SEGMENTS: list[tuple[int, int, int]] = []
+# The primes of the first range, [2, _SEGMENT_WIDTH), kept when it is sieved.
+_FIRST_PRIMES: list[int] = []
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -181,33 +186,43 @@ def _extend_segments() -> None:
     for p in _primes_below(math.isqrt(hi - 1) + 1):
         start = max(p * p, -(-lo // p) * p)
         sieve[start - lo :: p] = bytes(len(range(start, hi, p)))
-    _SEGMENTS.append((lo, hi, math.prod(itertools.compress(range(lo, hi), sieve))))
+    primes = list(itertools.compress(range(lo, hi), sieve))
+    if lo == 2:
+        _FIRST_PRIMES[:] = primes
+    _SEGMENTS.append((lo, hi, math.prod(primes)))
 
 
-def _strip(n: int, g: int, lo: int, top: int, found: dict[int, int]) -> int:
-    """n without the primes of g = gcd(n, the product of the range from lo)
-    below top, whose exponents go to found (see factor)."""
-    for d in range(lo, top):
-        if g == 1:
-            break
+def _split(g: int, candidates, top: int) -> list[int]:
+    """The primes below top of g = gcd(n, a range's product), ascending;
+    candidates run over the range ascending, every prime of it among them
+    (see factor)."""
+    primes = []
+    for d in candidates:
         if d * d > g:
-            if g >= top:  # primes above the trial bound only
-                break
-            d = g  # the one prime of g left
+            break  # g is 1 or one prime
         if g % d == 0:
             g //= d
-            while n % d == 0:
-                found[d] = found.get(d, 0) + 1
-                n //= d
+            primes.append(d)
+    if 1 < g < top:
+        primes.append(g)
+    return primes
+
+
+def _strip(n: int, primes, found: dict[int, int]) -> int:
+    """n without the given primes, whose exponents are added to found."""
+    for p in primes:
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
     return n
 
 
-def _first_range(n: int, found: dict[int, int]) -> int:
-    """n >= 1 without its primes below _SEGMENT_WIDTH, the first range, whose
-    exponents are added to found: the first step of factor."""
+def _first_range_primes(n: int) -> list[int]:
+    """The primes below _SEGMENT_WIDTH that divide n != 0, ascending, from one
+    gcd with the first range's product."""
     if not _SEGMENTS:
         _extend_segments()
-    return _strip(n, math.gcd(n, _SEGMENTS[0][2]), 2, _SEGMENT_WIDTH, found)
+    return _split(math.gcd(n, _SEGMENTS[0][2]), _FIRST_PRIMES, _SEGMENT_WIDTH)
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
@@ -276,9 +291,10 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     starting above the square root of what is left.  In a range [lo, hi), let
     top = min(hi, TRIAL_BOUND + 1).  g = gcd(n, product of the range's primes)
     is squarefree, and its primes are stripped from n in ascending order while
-    d^2 <= g, d running over every integer in [lo, top): a composite d never
-    divides g, as g's primes lie in the range and those below d are already
-    stripped from it.  What is left of g is then 1, one prime, or a product of
+    d^2 <= g, d running over the range's primes in the first range and over
+    every integer of [lo, top) in the others: a composite d never divides g,
+    as g's primes lie in the range and those below d are already stripped
+    from it.  What is left of g is then 1, one prime, or a product of
     primes above the bound; a single prime below top is stripped at once.  No
     prime above TRIAL_BOUND is stripped, even where the last range holds it:
     the cofactor that rho starts from, and the seed of its generator, are then
@@ -307,7 +323,7 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         g = math.gcd(n, product)
         check_prime = i == 0 or g > 1
         if g > 1:
-            n = _strip(n, g, lo, top, found)
+            n = _strip(n, _split(g, _FIRST_PRIMES if i == 0 else range(lo, top), top), found)
         lo = hi
         if n < top * top:
             break  # no prime below top divides n, so n is 1 or a prime

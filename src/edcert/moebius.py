@@ -34,10 +34,14 @@ class Mat2(Record):
 
     def __init__(self, a: Fraction | int, b: Fraction | int, c: Fraction | int,
                  d: Fraction | int, den: int = 1):
-        xs = [x if isinstance(x, Fraction) else operator.index(x) for x in (a, b, c, d)]
-        lam = math.lcm(*(x.denominator for x in xs))  # 1 for ints
-        a, b, c, d = (x.numerator * (lam // x.denominator) for x in xs)
-        if (den := operator.index(den) * lam) == 0:
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            den = operator.index(den)
+        else:  # Fractions clear their denominators into den; bools become ints
+            xs = [x if isinstance(x, Fraction) else operator.index(x) for x in (a, b, c, d)]
+            lam = math.lcm(*(x.denominator for x in xs))
+            a, b, c, d = (x.numerator * (lam // x.denominator) for x in xs)
+            den = operator.index(den) * lam
+        if den == 0:
             raise ValueError("zero denominator")
         if a * d == b * c:
             raise ValueError("matrix is singular")

@@ -511,6 +511,37 @@ def reference_candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_B
     return CandidatePrimes(frozenset(primes), complete)
 
 
+_PRIMES_BELOW_4096 = [p for p in range(2, 4096) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def reference_ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
+    """certify._ratio_values by brute force: the values are n and the reduced
+    endpoint ratios of U(A) and L(A) built in full, as reference_candidate_primes
+    reads them, and each nonzero |value| is divided by every prime below 4096.
+    The differential tests compare _ratio_values against it."""
+    n = A.formal_degree
+    degenerate = n < 1 or A.coeffs[0] == 0 or A.coeffs[n] == 0
+    values = [n]
+    if not degenerate:
+        for _, B in (upper_transform(A), lower_transform(A)):
+            b0, bn = B.coeffs[0], B.coeffs[-1]
+            if b0 != 0 and bn != 0:
+                ratio = b0 / bn
+                values += [ratio.numerator, ratio.denominator]
+    band1, tails = set(), set()
+    for x in values:
+        x = abs(x)
+        if x == 0:
+            continue
+        for p in _PRIMES_BELOW_4096:
+            while x % p == 0:
+                band1.add(p)
+                x //= p
+        if x > 1:
+            tails.add(x)
+    return sorted(band1), sorted(tails), degenerate
+
+
 def endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
     """(D0) and (D1) at vp for a degree-n polynomial with endpoint
     coefficients b0 and bn, read from the Fractions: the stage-4 gate as it

@@ -38,6 +38,7 @@ from helpers import (
     reference_certify_search,
     reference_eager_search,
     reference_gcd_search,
+    reference_ratio_values,
     scaled,
     shear,
 )
@@ -46,6 +47,7 @@ import edcert.exact_arith as exact_arith_module
 import edcert.valuation as valuation_module
 from edcert.certify import (
     _failure_reason,
+    _ratio_values,
     _family_gate,
     _family_grid,
     _family_member,
@@ -768,6 +770,38 @@ def test_a_search_strips_each_value_once_and_factors_each_tail_once(monkeypatch)
         assert strips == [A], A
         assert operands and len(set(operands)) == len(operands), (A, operands)
         assert all(math.gcd(x, first_range_product) == 1 for x in operands), (A, operands)
+
+
+# Values at the end of band 1: two primes next to 4096 (the split walks all
+# 564 primes), a square, a prime from each half, and primes above 4096 with
+# small ones.
+_BAND1_CLIFFS = (
+    4091 * 4093, 4093**2, 2113 * 4093, 4093, 2 * 3 * 5 * 4099, 36 * 1000003,
+    2 * 4093 * 1000003, 6 * 4099**2, 4091 * 4093 * 4099, 2**12 * 4093**3,
+)
+
+
+def test_ratio_values_match_division_by_every_prime_below_4096():
+    # Band 1 comes from one gcd over the product of the values, split over the
+    # first range's primes; the reference divides each value by all of them.
+    rng = random.Random(4093)
+    inputs = []
+    for i in range(150):  # criterion-13 draws, every third shifted
+        A, _ = random_ed_polynomial(rng, max_degree=6, max_unit=6, max_endpoint_val=2, extra_val=1)
+        inputs.append(A.taylor_shift(rng.choice((-1, 1))) if i % 3 == 0 else A)
+    inputs += [cyclotomic(p).taylor_shift(k) for p in (3, 5, 7, 11, 13) for k in range(-4, 5)]
+    inputs += [random_int_poly(rng, min_degree=2, max_degree=8) for _ in range(100)]
+    for _ in range(30):  # a_0 = 0, and a zero coefficient at the formal degree
+        A = random_int_poly(rng, min_degree=1, max_degree=5)
+        inputs += [poly(0, *A.nums), poly(*A.nums, n=A.formal_degree + 1)]
+    for c in _BAND1_CLIFFS:
+        # x^2 + c has the values 2, c and 1; c x^3 + 4091 has 3, 4091 and c
+        # over their gcd, so band 1 is split from a product of two values
+        inputs += [poly(c, 0, 1), poly(-c, 0, 1), poly(c, 1, 1), poly(4091, 0, 0, c)]
+    for A in inputs:
+        assert _ratio_values(A) == reference_ratio_values(A), A
+    band1, tails, _ = _ratio_values(poly(4093, 0, 0, 4091))
+    assert band1 == [3, 4091, 4093] and tails == []
 
 
 def test_the_flag_stays_exact_at_the_default_budget():

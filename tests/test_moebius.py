@@ -217,6 +217,35 @@ def test_mat2_stores_one_reduced_integer_form():
         assert type(twin) is Mat2 and twin == half and twin.den == 2
 
 
+def test_mat2_integer_entries_give_the_fields_of_fraction_entries():
+    # Four int entries skip the Fraction path; bools and Fractions take it.
+    r = random.Random(2113)
+    singular = 0
+    for _ in range(600):
+        ints = [r.randint(-30, 30) if r.random() < 0.75 else 0 for _ in range(4)]
+        den = r.choice((-1, 1)) * r.randint(1, 12)
+        fractions = [Fraction(x * den, den) for x in ints]
+        if ints[0] * ints[3] == ints[1] * ints[2]:
+            singular += 1
+            for entries in (ints, fractions):
+                with pytest.raises(ValueError, match="^matrix is singular$"):
+                    Mat2(*entries, den)
+            continue
+        g, h = Mat2(*ints, den), Mat2(*fractions, den)
+        fields = (g.a, g.b, g.c, g.d, g.den)
+        assert fields == (h.a, h.b, h.c, h.d, h.den) and g == h
+        assert all(type(x) is int for x in fields) and g.den > 0
+        assert g.entries() == tuple(Fraction(x, den) for x in ints)
+    assert 50 < singular < 250, singular
+    assert Mat2(True, 0, 0, 1) == Mat2(1, 0, 0, 1) == Mat2(True, False, False, True, True)
+    for entries in ((1, 0, 0, 1), (True, 0, 0, 1), (Fraction(1, 2), 0, 0, 1), (1, 2, 2, 4)):
+        with pytest.raises(ValueError, match="^zero denominator$"):
+            Mat2(*entries, 0)
+    for entries in ((2, -4, 1, -2), (True, True, True, True), (Fraction(1, 2), 1, 1, 2)):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            Mat2(*entries, -3)
+
+
 def test_integer_formulas_agree_with_the_fraction_entries():
     # The tests' mat_det, mat_mul and mat_inv work on (a, b, c, d, den);
     # entries() is the Fraction view they must agree with.
