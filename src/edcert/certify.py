@@ -86,7 +86,8 @@ def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly
     The determinant is t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected
     by phi and A(t) = 0 by Mat2 as a singular matrix, both with ValueError.
     """
-    m = Mat2(t, phi(A, t), 1, 1)
+    t = Fraction(t)
+    m = _family_matrix(t, *phi(A, t).as_integer_ratio())
     return m, act(A, m)
 
 
@@ -190,6 +191,13 @@ def _family_gate(vp: PAdic, n: int, F: int, FP: int) -> bool:
     return FP != 0 and math.gcd(vp.val(FP) - vp.val(F), n) == 1
 
 
+def _family_matrix(t: Fraction, P: int, Q: int) -> Mat2:
+    """The member [[t, P/Q], [1, 1]] in integer form, t = a/b:
+    [[aQ, bP], [bQ, bQ]] / bQ."""
+    a, b = t.numerator, t.denominator
+    return Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
+
+
 def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
     """(bQ)^n times the member [[t, P/Q], [1, 1]] applied to A, t = a/b: the
     binary form of A at (aQ x + bP, bQ x + bQ), built on integers."""
@@ -258,7 +266,7 @@ STAGE_NAMES = {
 }
 
 
-_IDENTITY = Mat2.identity()  # the stage-1 transform; Mat2 is immutable
+_IDENTITY = Mat2(1, 0, 0, 1)  # the stage-1 transform; Mat2 is immutable
 
 
 def _failure_reason(report: EDReport) -> str:
@@ -416,8 +424,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
                 member = members[i] = _family_member(A, t, P, Q)
             report = is_ed(member, vp)
             if report.verdict:
-                a, b = t.numerator, t.denominator
-                m = Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
+                m = _family_matrix(t, P, Q)
                 return success(vp, 4, m, act(A, m), report)
         audit.append(AuditEntry(p, 4, f"no Eisenstein-Dumas member among {len(grid)} admissible "
                                       f"grid points ({members_skipped} skipped)"))

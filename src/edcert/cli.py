@@ -25,13 +25,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .certificate import (
     MAX_CERTIFICATE_CHARS,
     MAX_DIGITS,
     _RATIONAL,
     _clip,
+    _integer_form,
     certificate_to_json,
     format_poly,
     read_certificate,
@@ -70,11 +70,13 @@ def format_matrix(g: Mat2) -> str:
 
 def parse_matrix(text: str) -> Mat2:
     """Parse 'a,b;c,d' into a nonsingular matrix; each entry is [sign]int or
-    [sign]int/int in ASCII digits (certificate.read_rational)."""
+    [sign]int/int in ASCII digits (certificate.read_rational), cleared into
+    Mat2's integer form as the checker reads a certificate's transform."""
     rows = [row.split(",") for row in text.split(";")]
     if [len(row) for row in rows] != [2, 2]:
         raise ValueError(f"matrix must be 'a,b;c,d', got {text!r}")
-    return Mat2(*(Fraction(*read_rational(entry)) for row in rows for entry in row))
+    lam, g = _integer_form([read_rational(entry) for row in rows for entry in row])
+    return Mat2(*g, lam)
 
 
 # -- SVG Newton polygon plots -------------------------------------------------

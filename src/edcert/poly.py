@@ -9,7 +9,8 @@ may drop, and every Eisenstein-Dumas check reads a_n at the formal degree.
 Values are immutable, in one canonical integer form a_i = nums[i] / den with
 den > 0 and gcd(den, *nums) = 1, so equal polynomials have equal fields.
 Every kernel reads that form and reduces its result once, by one gcd; the
-Fractions a_i are built only on request (coeffs).  No floating point anywhere.
+Fractions a_i are built only on request (coeffs) and read only by its
+inverse, from_coeffs.  No floating point anywhere.
 Reversal, scalings and shears are written as act(A, g) (edcert.moebius); the
 class holds only what the package and its benchmark call.
 """
@@ -90,17 +91,9 @@ class FormalPoly(Record):
         _set(self, "nums", tuple(x // g for x in nums))
 
     @classmethod
-    def from_coeffs(
-        cls, coeffs: Iterable[Fraction | int], formal_degree: int | None = None
-    ) -> "FormalPoly":
-        """Build from a_0.. upward, optionally zero-padding to a larger formal degree."""
+    def from_coeffs(cls, coeffs: Iterable[Fraction | int]) -> "FormalPoly":
+        """Build from a_0.. upward, ints or Fractions; the inverse of coeffs."""
         cs = [c if isinstance(c, Fraction) else operator.index(c) for c in coeffs] or [0]
-        if formal_degree is not None:
-            if formal_degree + 1 < len(cs):
-                raise ValueError(
-                    f"formal degree {formal_degree} is below the coefficient count {len(cs)}"
-                )
-            cs.extend([0] * (formal_degree + 1 - len(cs)))
         D = math.lcm(*(c.denominator for c in cs))
         return cls(D, tuple(c.numerator * (D // c.denominator) for c in cs))
 

@@ -10,6 +10,9 @@ axioms
 The value at 0 is infinity by convention; here it is an error instead,
 since every caller tests a coefficient for zero before reading its value.
 
+PAdic.val reads integers only: callers hold rationals in the integer form
+of FormalPoly, and v(a/b) = v(a) - v(b).
+
 The value group here is always Z (rank one, discrete): up to equivalence
 these are the only nontrivial valuations the rational field carries.  The
 residue field of v_p is the field with p elements, so "the residue
@@ -18,7 +21,7 @@ characteristic divides n" is exactly the divisibility test p | n.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from ._record import Record, _set
 from .certificate import _clip
@@ -64,10 +67,10 @@ class PAdic(Record):
             raise ValueError(f"{_clip(str(p))} is not prime")
         _set(self, "p", p)
 
-    def val(self, q: Fraction | int) -> int:
-        """v_p(q) for q != 0, possibly negative; ValueError for q = 0."""
-        if q == 0:
+    def val(self, n: int) -> int:
+        """v_p(n) for a nonzero integer n; ValueError for 0, TypeError for a
+        non-integer."""
+        n = operator.index(n)
+        if n == 0:
             raise ValueError("the valuation of 0 is infinite")
-        if isinstance(q, int):
-            return _int_val(q, self.p)
-        return _int_val(q.numerator, self.p) - _int_val(q.denominator, self.p)
+        return _int_val(n, self.p)

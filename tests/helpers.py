@@ -51,16 +51,44 @@ def padic(p: int) -> PAdic:
     return _PADICS[p]
 
 
+def poly(*coeffs: Fraction | int, n: int | None = None) -> FormalPoly:
+    """The FormalPoly a_0 + a_1 x + ..., zero-padded to formal degree n when
+    n is given."""
+    pad = 0 if n is None else n + 1 - len(coeffs)
+    assert pad >= 0, f"formal degree {n} is below the coefficient count {len(coeffs)}"
+    return FormalPoly.from_coeffs(coeffs + (0,) * pad)
+
+
+def cyclotomic(p: int) -> FormalPoly:
+    """Phi_p = 1 + x + ... + x^(p-1) for a prime p."""
+    return FormalPoly.from_coeffs([1] * p)
+
+
+def rational_val(v: PAdic, q: Fraction | int) -> int:
+    """v(q) for a nonzero rational q: v of its numerator less v of its
+    denominator, as PAdic.val reads integers only."""
+    q = Fraction(q)
+    return v.val(q.numerator) - v.val(q.denominator)
+
+
+def mat(a: Fraction | int, b: Fraction | int, c: Fraction | int, d: Fraction | int) -> Mat2:
+    """The Mat2 [[a, b], [c, d]] for rational entries, their denominators
+    cleared into den; Mat2 itself takes integers only."""
+    qs = [Fraction(x) for x in (a, b, c, d)]
+    lam = math.lcm(*(q.denominator for q in qs))
+    return Mat2(*(q.numerator * (lam // q.denominator) for q in qs), lam)
+
+
 # The package ships no matrix product, inverse or determinant, and no t A or
 # A'; the tests build them here.  Reversal, argument scaling and shears are
-# act(A, SWAP), act(A, Mat2(t, 0, 0, 1)) and act(A, shear(t)).
+# act(A, SWAP), act(A, mat(t, 0, 0, 1)) and act(A, shear(t)).
 
 SWAP = Mat2(0, 1, 1, 0)
 
 
 def shear(t: Fraction | int) -> Mat2:
     """[[1, t], [0, 1]]; acting by it is the Taylor shift by t."""
-    return Mat2(1, t, 0, 1)
+    return mat(1, t, 0, 1)
 
 
 def mat_mul(g: Mat2, h: Mat2) -> Mat2:
@@ -152,9 +180,9 @@ def reference_is_ed_strict(A: FormalPoly, v: PAdic) -> bool:
     a, n = A.coeffs, A.formal_degree
     if a[0] == 0 or a[n] == 0:
         return False
-    v0, vn = v.val(a[0]), v.val(a[n])
+    v0, vn = rational_val(v, a[0]), rational_val(v, a[n])
     return math.gcd(v0 - vn, n) == 1 and all(
-        n * v.val(a[i]) > (n - i) * v0 + i * vn for i in range(1, n) if a[i] != 0
+        n * rational_val(v, a[i]) > (n - i) * v0 + i * vn for i in range(1, n) if a[i] != 0
     )
 
 
@@ -192,7 +220,7 @@ def random_dense_mat(rng: random.Random, bound: int = 9) -> Mat2:
     while True:
         entries = [nonzero_fraction(rng, bound) for _ in range(4)]
         try:
-            return Mat2(*entries)
+            return mat(*entries)
         except ValueError:
             continue
 
@@ -204,13 +232,13 @@ def random_shaped_mat(rng: random.Random, shape: str, bound: int = 9) -> Mat2:
         s, t, u = (nonzero_fraction(rng, bound) for _ in range(3))
         try:
             if shape == "upper":
-                return Mat2(s, t, 0, u)
+                return mat(s, t, 0, u)
             if shape == "lower":
-                return Mat2(s, 0, t, u)
+                return mat(s, 0, t, u)
             if shape == "upper_swap":
-                return Mat2(t, s, u, 0)
+                return mat(t, s, u, 0)
             if shape == "lower_swap":
-                return Mat2(0, s, u, t)
+                return mat(0, s, u, t)
         except ValueError:
             continue
         raise ValueError(f"unknown shape {shape!r}")
@@ -221,7 +249,7 @@ def random_mat(rng: random.Random, bound: int = 9) -> Mat2:
     while True:
         entries = [Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(4)]
         try:
-            return Mat2(*entries)
+            return mat(*entries)
         except ValueError:
             continue
 
@@ -546,7 +574,7 @@ def endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
     """(D0) and (D1) at vp for a degree-n polynomial with endpoint
     coefficients b0 and bn, read from the Fractions: the stage-4 gate as it
     was before it ran on integers."""
-    return b0 != 0 and bn != 0 and math.gcd(vp.val(b0) - vp.val(bn), n) == 1
+    return b0 != 0 and bn != 0 and math.gcd(rational_val(vp, b0) - rational_val(vp, bn), n) == 1
 
 
 _REFERENCE_GRID = default_t_grid()
@@ -582,7 +610,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
         vp = padic(p)
         report = is_ed(A, vp)
         if report.verdict:
-            return success(vp, 1, Mat2.identity(), A, report)
+            return success(vp, 1, Mat2(1, 0, 0, 1), A, report)
         audit.append(AuditEntry(p, 1, _failure_reason(report)))
         if n % p == 0:
             audit.append(
@@ -617,7 +645,7 @@ def reference_certify_search(A: FormalPoly) -> Certificate:
                 continue
             pair = members.get(i)
             if pair is None:
-                m = Mat2(t, f, 1, 1)
+                m = mat(t, f, 1, 1)
                 pair = members[i] = m, act(A, m)
             m, member = pair
             report = is_ed(member, vp)
@@ -650,7 +678,7 @@ def reference_gcd_search(A: FormalPoly) -> tuple[tuple, bool]:
     for p in sorted({p for fz in found for p in fz.primes}):
         vp = padic(p)
         if is_ed(A, vp).verdict:
-            return (Verdict.IRREDUCIBLE, p, 1, Mat2.identity(), A), complete
+            return (Verdict.IRREDUCIBLE, p, 1, Mat2(1, 0, 0, 1), A), complete
         if n % p and is_ed(U, vp).verdict:
             return (Verdict.IRREDUCIBLE, p, 2, m, U), complete
     return (Verdict.INCONCLUSIVE, None, None, None, None), complete
@@ -682,7 +710,7 @@ def reference_eager_search(A: FormalPoly, config: SearchConfig | None = None) ->
         vp = PAdic(p)
         report = is_ed(A, vp)
         if report.verdict:
-            return success(vp, 1, Mat2.identity(), A, report)
+            return success(vp, 1, Mat2(1, 0, 0, 1), A, report)
         audit.append(AuditEntry(p, 1, _failure_reason(report)))
         if n % p == 0:
             reason = f"residue characteristic {p} divides the degree {n}; stages 2 and 4 skipped"
@@ -897,7 +925,7 @@ def reference_validate_certificate_json(data: object) -> tuple[bool, str]:
         transform, coeffs = data["transform"], data["witness_coeffs"]
         if not (isinstance(transform, list) and isinstance(coeffs, list)):
             raise TypeError("transform and witness_coeffs must be lists of strings")
-        g = Mat2(*map(parse_rational, transform))
+        g = mat(*map(parse_rational, transform))
         witness = fraction_poly(list(map(parse_rational, coeffs)))
         report = data["report"]
         if not isinstance(report, dict):

@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from edcert import FormalPoly, Mat2, upper_transform
+from edcert import FormalPoly, upper_transform
+from helpers import mat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,7 +48,7 @@ def test_tracer_tells_the_kinds_of_action_apart(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
     A = FormalPoly(3, (1, 2, 3))
-    for g in (upper_transform(A)[0], Mat2(1, Fraction(-2, 9), 0, 1), Mat2(3, 0, Fraction(1, 2), 2)):
+    for g in (upper_transform(A)[0], mat(1, Fraction(-2, 9), 0, 1), mat(3, 0, Fraction(1, 2), 2)):
         assert tracing._act_kind((A, g)) == "moebius.act.triangular", g
-    for g in (Mat2(Fraction(1, 2), -3, 5, 4), Mat2(1, Fraction(-22, 3), 1, 1)):
+    for g in (mat(Fraction(1, 2), -3, 5, 4), mat(1, Fraction(-22, 3), 1, 1)):
         assert tracing._act_kind((A, g)) == "moebius.act.full", g

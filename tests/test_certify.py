@@ -25,11 +25,14 @@ from edcert import (
 )
 from helpers import (
     SWAP,
+    cyclotomic,
     derivative,
     endpoints_pass,
+    mat,
     mat_det,
     mat_inv,
     padic,
+    poly,
     random_dense_mat,
     random_ed_polynomial,
     random_int_poly,
@@ -60,16 +63,6 @@ from edcert.cli import certificate_to_json, validate_certificate_json
 from edcert.exact_arith import TRIAL_BOUND, is_probable_prime
 
 
-def poly(*coeffs, n=None):
-    return FormalPoly.from_coeffs(coeffs, formal_degree=n)
-
-
-def cyclotomic(p):
-    return FormalPoly.from_coeffs([1] * p)
-
-
-
-
 def test_upper_transform():
     m, U = upper_transform(poly(8, 4, 1))
     assert m == shear(-2)
@@ -77,7 +70,7 @@ def test_upper_transform():
 
     A = poly(9, 0, -14, 0, 1)  # a_3 = 0: zero shift
     m, U = upper_transform(A)
-    assert m == Mat2.identity() and U == A
+    assert m == Mat2(1, 0, 0, 1) and U == A
 
     m, U = upper_transform(cyclotomic(5))
     assert m == shear(Fraction(-1, 4))
@@ -86,20 +79,24 @@ def test_upper_transform():
 
     with pytest.raises(ValueError):
         upper_transform(poly(1, 2, 0, n=2))
+    with pytest.raises(ValueError, match="requires formal degree >= 1"):
+        upper_transform(poly(5))
 
 
 def test_lower_transform():
     m, L = lower_transform(poly(8, 4, 1))
-    assert m == Mat2(1, 0, Fraction(-1, 4), 1)
+    assert m == mat(1, 0, Fraction(-1, 4), 1)
     assert L == poly(8, 0, Fraction(1, 2))
     assert L.coeffs[1] == 0
 
     A = poly(9, 0, -14, 0, 1)  # a_1 = 0
     m, L = lower_transform(A)
-    assert m == Mat2.identity() and L == A
+    assert m == Mat2(1, 0, 0, 1) and L == A
 
     with pytest.raises(ValueError):
         lower_transform(poly(0, 1, 1))
+    with pytest.raises(ValueError, match="requires formal degree >= 1"):
+        lower_transform(poly(5))
 
 
 def test_lower_is_reversed_upper():
@@ -245,7 +242,7 @@ def test_stage_four_hit_certifies_the_exact_member(monkeypatch):
     # By the orbit lemma stage 4 never gives the first hit; with stage 2
     # disabled it does, and its certificate must be the Fraction search's.
     def no_shift(A):
-        return Mat2.identity(), A
+        return Mat2(1, 0, 0, 1), A
 
     monkeypatch.setattr(certify_module, "upper_transform", no_shift)
     monkeypatch.setattr(sys.modules[__name__], "upper_transform", no_shift)
@@ -284,7 +281,7 @@ def test_the_certify_path_builds_no_fraction(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Fraction, "__new__", counting)
             if without_stage_two:
-                m.setattr(certify_module, "upper_transform", lambda A: (Mat2.identity(), A))
+                m.setattr(certify_module, "upper_transform", lambda A: (Mat2(1, 0, 0, 1), A))
             cert = certify_search(A)
             certificate_to_json(cert)
         return cert
@@ -295,7 +292,7 @@ def test_the_certify_path_builds_no_fraction(monkeypatch):
     assert search(stage_one).stage == 1
     assert search(stage_two).transform == shear(Fraction(1, 3))
     cert = search(stage_four, without_stage_two=True)
-    assert cert.stage == 4 and cert.transform == Mat2(-1, Fraction(-22, 3), 1, 1)
+    assert cert.stage == 4 and cert.transform == mat(-1, Fraction(-22, 3), 1, 1)
     assert not search(poly(9, 0, -14, 0, 1)).irreducible
     assert built == []
 
@@ -381,7 +378,7 @@ def test_default_t_grid():
 def test_certify_footnote_example():
     cert = certify_search(poly(8, 4, 1))
     assert cert.irreducible and cert.prime == 2 and cert.stage == 1
-    assert cert.transform == Mat2.identity()
+    assert cert.transform == Mat2(1, 0, 0, 1)
     assert cert.witness == cert.input
     assert cert.report.verdict
 
@@ -516,7 +513,7 @@ def _eager_certify_search(A):
         vp = padic(p)
         report = is_ed(A, vp)
         if report.verdict:
-            return success(vp, 1, Mat2.identity(), A, report)
+            return success(vp, 1, Mat2(1, 0, 0, 1), A, report)
         audit.append(AuditEntry(p, 1, _failure_reason(report)))
         if n % p == 0:
             audit.append(

@@ -23,11 +23,7 @@ from edcert.cli import (
 from edcert.cli import _act_digits
 from edcert.certify import certify_search
 from edcert.valuation import PAdic
-from helpers import parse_rational, reference_parse_poly, reference_parse_rational
-
-
-def poly(*coeffs, n=None):
-    return FormalPoly.from_coeffs(coeffs, formal_degree=n)
+from helpers import mat, parse_rational, poly, reference_parse_poly, reference_parse_rational
 
 
 # -- parser --------------------------------------------------------------------
@@ -213,7 +209,7 @@ def test_format_round_trip():
 
 def test_parse_matrix():
     assert parse_matrix("1,0;1,1") == Mat2(1, 0, 1, 1)
-    assert parse_matrix("1/2, -3; 0, 4") == Mat2(Fraction(1, 2), -3, 0, 4)
+    assert parse_matrix("1/2, -3; 0, 4") == Mat2(1, -6, 0, 8, 2)
     with pytest.raises(ValueError):
         parse_matrix("1,0;0,0")  # singular
     with pytest.raises(ValueError):
@@ -248,6 +244,11 @@ def test_ed_check_command(capsys):
     assert main(["ed-check", "--poly", "x^2+4", "--prime", "2"]) == 1
     out = capsys.readouterr().out
     assert "D1: FAIL (gcd = 2)" in out
+    # (D0) fails at x^3 + x, so (D1) has no gcd to print
+    assert main(["ed-check", "--poly", "x^3+x", "--prime", "2"]) == 1
+    assert "D0: FAIL\nD1: FAIL\nD2: FAIL\n" in capsys.readouterr().out
+    assert main(["ed-check", "--poly", "x^3+x+2", "--prime", "2"]) == 1
+    assert "D1: pass (gcd = 1)\nD2: FAIL at index 1\n" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:  # the strict form is not an option
         main(["ed-check", "--poly", "x^2+4x+8", "--prime", "2", "--strict"])
     assert exc.value.code == 2
@@ -258,6 +259,17 @@ def test_newton_command(capsys):
     out = capsys.readouterr().out
     assert "vertices: (0, 3), (1, 1), (2, 0)" in out
     assert "slope -2, length 1" in out and "slope -1, length 1" in out
+
+
+def test_newton_plots_a_flat_polygon(capsys, tmp_path):
+    # every coefficient of x^3 + x + 1 has v_2 = 0, so the plot's value axis
+    # is widened to -1..1 and the hull runs through its middle
+    path = tmp_path / "flat.svg"
+    assert main(["newton", "--poly", "x^3+x+1", "--prime", "2", "--svg", str(path)]) == 0
+    assert "segments: slope 0, length 3\n" in capsys.readouterr().out
+    svg = path.read_text()
+    assert '<polyline points="60.00,240.00 580.00,240.00"' in svg
+    assert all(f'text-anchor="end">{w}</text>' in svg for w in (-1, 0, 1))
 
 
 def test_newton_prints_all_of_its_text_or_none(capsys, tmp_path):
@@ -463,7 +475,7 @@ def test_act_digit_bound_covers_every_coefficient():
             entries = [rational(9, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(4)]
             if entries[0] * entries[3] != entries[1] * entries[2]:
                 break
-        g = Mat2(*entries)
+        g = mat(*entries)
         B = act(A, g)
         longest = max(len(str(x)) for c in B.coeffs for x in (abs(c.numerator), c.denominator))
         assert longest <= _act_digits(A, g), (A, g)

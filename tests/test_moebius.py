@@ -8,10 +8,12 @@ import pytest
 from edcert import FormalPoly, Mat2, act
 from helpers import (
     SWAP,
+    mat,
     mat_det,
     mat_inv,
     mat_mul,
     nonzero_fraction,
+    poly,
     random_dense_mat,
     random_mat,
     random_shaped_mat,
@@ -21,10 +23,6 @@ from helpers import (
 )
 
 rng = random.Random(20240901)
-
-
-def poly(*coeffs, n=None):
-    return FormalPoly.from_coeffs(coeffs, formal_degree=n)
 
 
 def random_poly(max_degree=6):
@@ -42,12 +40,12 @@ def test_singular_matrix_rejected():
 
 
 def test_singular_matrix_test_on_integers_agrees_with_the_determinant():
-    # Mat2 clears the entries' denominators and compares ad with bc on the
-    # integers instead of building the determinant.
+    # mat clears the entries' denominators into den, and Mat2 compares ad
+    # with bc on the integers instead of building the determinant.
     half, third, tiny = Fraction(1, 2), Fraction(1, 3), Fraction(1, 10**30)
     with pytest.raises(ValueError):
-        Mat2(half, third, Fraction(3, 4), half)
-    assert mat_det(Mat2(half, third, Fraction(3, 4), half + tiny)) == tiny / 2
+        mat(half, third, Fraction(3, 4), half)
+    assert mat_det(mat(half, third, Fraction(3, 4), half + tiny)) == tiny / 2
     r = random.Random(2014)
     singular = 0
     for _ in range(2000):
@@ -56,7 +54,7 @@ def test_singular_matrix_test_on_integers_agrees_with_the_determinant():
             k = Fraction(r.randint(-4, 4), r.randint(1, 4))
             c, d = k * a, k * b
         try:
-            Mat2(a, b, c, d)
+            mat(a, b, c, d)
             rejected = False
         except ValueError:
             rejected = True
@@ -76,21 +74,21 @@ def test_cubic_action_example():
 
 def test_identity_and_swap():
     A = random_poly()
-    assert act(A, Mat2.identity()) == A
+    assert act(A, Mat2(1, 0, 0, 1)) == A
     assert act(A, SWAP).coeffs == A.coeffs[::-1]
 
 
 def test_compose_and_inverse():
     g = Mat2(1, 3, 0, 1)
-    assert mat_mul(g, Mat2.identity()) == g
-    assert mat_mul(SWAP, SWAP) == Mat2.identity()
+    assert mat_mul(g, Mat2(1, 0, 0, 1)) == g
+    assert mat_mul(SWAP, SWAP) == Mat2(1, 0, 0, 1)
     assert mat_mul(shear(5), shear(-2)) == shear(3)
-    assert mat_inv(Mat2.identity()) == Mat2.identity()
-    assert mat_inv(Mat2(2, 0, 0, 1)) == Mat2(Fraction(1, 2), 0, 0, 1)
+    assert mat_inv(Mat2(1, 0, 0, 1)) == Mat2(1, 0, 0, 1)
+    assert mat_inv(Mat2(2, 0, 0, 1)) == Mat2(1, 0, 0, 2, 2)
     assert mat_inv(g) == Mat2(1, -3, 0, 1)
     for _ in range(50):
         h = random_mat(rng)
-        assert mat_mul(h, mat_inv(h)) == Mat2.identity()
+        assert mat_mul(h, mat_inv(h)) == Mat2(1, 0, 0, 1)
         assert mat_det(mat_mul(g, h)) == mat_det(g) * mat_det(h)
 
 
@@ -127,7 +125,7 @@ def test_action_matches_the_fraction_composition():
             for _ in range(n + 1)
         ]
         pad = rng.choice((0, 0, 0, 1, 3))
-        A = FormalPoly.from_coeffs(coeffs, formal_degree=n + pad)
+        A = FormalPoly.from_coeffs(coeffs + [0] * pad)
         shape = shapes[k % 5]
         if shape == "full":
             g = random_dense_mat(rng, bound)
@@ -150,13 +148,13 @@ def test_triangular_branch_matches_the_fraction_composition():
     for k in range(540):
         n = rng.randint(1, 30)
         coeffs = [0 if rng.random() < 0.2 else nonzero_fraction(rng) for _ in range(n + 1)]
-        A = FormalPoly.from_coeffs(coeffs, formal_degree=n + rng.choice((0, 0, 0, 2)))
+        A = FormalPoly.from_coeffs(coeffs + [0] * rng.choice((0, 0, 0, 2)))
         a = nonzero_fraction(rng)
         d = a
         while d == a:
             d = nonzero_fraction(rng)
         b = 0 if k % 10 == 0 else nonzero_fraction(rng, rng.choice((9, 10**6)))
-        g = Mat2(a, b, 0, d)
+        g = mat(a, b, 0, d)
         assert act(A, g) == reference_act(A, g), (A, g)
 
 
@@ -170,10 +168,10 @@ def test_action_matches_elementary_transforms():
         t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         u = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         assert act(A, shear(t)) == A.taylor_shift(t)
-        assert act(A, Mat2(t, 0, 0, 1)).coeffs == tuple(c * t**i for i, c in enumerate(A.coeffs))
+        assert act(A, mat(t, 0, 0, 1)).coeffs == tuple(c * t**i for i, c in enumerate(A.coeffs))
         # scalar matrices scale by u^n; [[1,0],[0,u]] is u^n A(x/u)
-        assert act(A, Mat2(u, 0, 0, u)) == scaled(A, u**n)
-        assert act(A, Mat2(1, 0, 0, u)) == scaled(act(A, Mat2(1 / u, 0, 0, 1)), u**n)
+        assert act(A, mat(u, 0, 0, u)) == scaled(A, u**n)
+        assert act(A, mat(1, 0, 0, u)) == scaled(act(A, mat(1 / u, 0, 0, 1)), u**n)
 
 
 @pytest.mark.parametrize("shape", ["full", "upper", "lower", "upper_swap", "lower_swap"])
@@ -199,51 +197,56 @@ def test_action_matches_substitution_by_evaluation(shape):
 def test_mat2_stores_one_reduced_integer_form():
     # [[a, b], [c, d]] / den with den > 0 and gcd(a, b, c, d, den) = 1, as
     # FormalPoly stores (den, nums): equal matrices have equal fields.
-    half = Mat2(Fraction(1, 2), 1, 0, 1)
+    half = Mat2(2, 4, 0, 4, 4)
     assert half == Mat2(1, 2, 0, 2, 2) and hash(half) == hash(Mat2(1, 2, 0, 2, 2))
     assert (half.a, half.b, half.c, half.d, half.den) == (1, 2, 0, 2, 2)
     assert half.entries() == (Fraction(1, 2), 1, 0, 1)
-    assert half == Mat2(Fraction(3, 6), Fraction(4, 4), 0, 1) == Mat2(-3, -6, 0, -6, -6)
+    assert half == mat(Fraction(3, 6), Fraction(4, 4), 0, 1) == Mat2(-3, -6, 0, -6, -6)
     negative = Mat2(2, -4, 0, 6, -4)
     assert (negative.a, negative.b, negative.c, negative.d, negative.den) == (-1, 2, 0, -3, 2)
     with pytest.raises(ValueError, match="zero denominator"):
         Mat2(1, 0, 0, 1, 0)
     with pytest.raises(ValueError, match="singular"):
         Mat2(1, 2, 2, 4, 3)
-    for bad in ((0.5, 0, 0, 1), (1, 0, 0, 1, 2.0), (1, 0, 0, 1, Fraction(1, 2))):
-        with pytest.raises(TypeError):
-            Mat2(*bad)
     for twin in (pickle.loads(pickle.dumps(half)), copy.copy(half), copy.deepcopy(half)):
         assert type(twin) is Mat2 and twin == half and twin.den == 2
 
 
 def test_mat2_integer_entries_give_the_fields_of_fraction_entries():
-    # Four int entries skip the Fraction path; bools and Fractions take it.
+    # Mat2 reads five integers, bools counted as ints; a Fraction or a float
+    # raises TypeError, an integral one too, before any other check.  Callers
+    # with rational entries clear them into den (mat here, parse_matrix).
     r = random.Random(2113)
     singular = 0
     for _ in range(600):
         ints = [r.randint(-30, 30) if r.random() < 0.75 else 0 for _ in range(4)]
         den = r.choice((-1, 1)) * r.randint(1, 12)
-        fractions = [Fraction(x * den, den) for x in ints]
+        with pytest.raises(TypeError):
+            Mat2(*(Fraction(x * den, den) for x in ints), den)
         if ints[0] * ints[3] == ints[1] * ints[2]:
             singular += 1
-            for entries in (ints, fractions):
-                with pytest.raises(ValueError, match="^matrix is singular$"):
-                    Mat2(*entries, den)
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                Mat2(*ints, den)
             continue
-        g, h = Mat2(*ints, den), Mat2(*fractions, den)
+        g, h = Mat2(*ints, den), mat(*(Fraction(x, den) for x in ints))
         fields = (g.a, g.b, g.c, g.d, g.den)
         assert fields == (h.a, h.b, h.c, h.d, h.den) and g == h
         assert all(type(x) is int for x in fields) and g.den > 0
         assert g.entries() == tuple(Fraction(x, den) for x in ints)
     assert 50 < singular < 250, singular
     assert Mat2(True, 0, 0, 1) == Mat2(1, 0, 0, 1) == Mat2(True, False, False, True, True)
-    for entries in ((1, 0, 0, 1), (True, 0, 0, 1), (Fraction(1, 2), 0, 0, 1), (1, 2, 2, 4)):
+    for entries in ((1, 0, 0, 1), (True, 0, 0, 1), (1, 2, 2, 4)):
         with pytest.raises(ValueError, match="^zero denominator$"):
             Mat2(*entries, 0)
-    for entries in ((2, -4, 1, -2), (True, True, True, True), (Fraction(1, 2), 1, 1, 2)):
+    for entries in ((2, -4, 1, -2), (True, True, True, True)):
         with pytest.raises(ValueError, match="^matrix is singular$"):
             Mat2(*entries, -3)
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        for k in range(5):
+            entries = [1, 0, 0, 1, 1]
+            entries[k] = bad
+            with pytest.raises(TypeError):
+                Mat2(*entries)
 
 
 def test_integer_formulas_agree_with_the_fraction_entries():
@@ -254,7 +257,7 @@ def test_integer_formulas_agree_with_the_fraction_entries():
         g, h = random_mat(r), random_mat(r)
         a, b, c, d = g.entries()
         e, f, k, m = h.entries()
-        assert Mat2(a, b, c, d) == g
+        assert mat(a, b, c, d) == g
         assert mat_mul(g, h).entries() == (a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m)
         det = a * d - b * c
         assert mat_det(g) == det

@@ -17,18 +17,17 @@ from edcert import (
 from edcert.certificate import _ed_report
 from helpers import (
     SMALL_PRIMES,
+    mat,
     padic,
+    poly,
     random_ed_polynomial,
     random_int_poly,
     random_p_content_poly,
+    rational_val,
     reference_is_ed,
     reference_is_ed_strict,
     scaled,
 )
-
-
-def poly(*coeffs, n=None):
-    return FormalPoly.from_coeffs(coeffs, formal_degree=n)
 
 
 def test_polygon_examples():
@@ -183,8 +182,8 @@ def test_geometric_characterization():
         if A.coeffs[0] != 0 and A.coeffs[n] != 0:
             np = newton_polygon(A, v)
             geom = (
-                np.vertices == ((0, v.val(A.coeffs[0])), (n, v.val(A.coeffs[n])))
-                and math.gcd(v.val(A.coeffs[0]) - v.val(A.coeffs[n]), n) == 1
+                np.vertices == ((0, rational_val(v, A.coeffs[0])), (n, rational_val(v, A.coeffs[n])))
+                and math.gcd(rational_val(v, A.coeffs[0]) - rational_val(v, A.coeffs[n]), n) == 1
             )
         assert is_ed(A, v).verdict == geom
 
@@ -200,7 +199,7 @@ def test_verdict_invariance_under_symmetries():
         while t == 0:
             t = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
         assert is_ed(scaled(A, t), v).verdict == verdict
-        assert is_ed(act(A, Mat2(t, 0, 0, 1)), v).verdict == verdict
+        assert is_ed(act(A, mat(t, 0, 0, 1)), v).verdict == verdict
         assert is_ed(act(A, Mat2(0, 1, 1, 0)), v).verdict == verdict
 
 
@@ -211,12 +210,12 @@ def test_shift_stability():
         A, p = random_ed_polynomial(rng)
         v = padic(p)
         n = A.formal_degree
-        drop = v.val(A.coeffs[0]) - v.val(A.coeffs[n])
+        drop = rational_val(v, A.coeffs[0]) - rational_val(v, A.coeffs[n])
         k = math.floor(Fraction(drop, n)) + 1
         num = rng.choice([x for x in range(-9, 10) if x and x % p])
         den = rng.choice([x for x in range(1, 10) if x % p])
         t = Fraction(p) ** k * Fraction(num, den)
-        assert n * v.val(t) > drop
+        assert n * rational_val(v, t) > drop
         assert is_ed(A.taylor_shift(t), v).verdict
 
 
@@ -227,11 +226,11 @@ def test_subleading_coefficient_bound():
         A, p = random_ed_polynomial(rng, prime_coprime_to_degree=True)
         v = padic(p)
         n = A.formal_degree
-        drop = v.val(A.coeffs[0]) - v.val(A.coeffs[n])
+        drop = rational_val(v, A.coeffs[0]) - rational_val(v, A.coeffs[n])
         sub = A.coeffs[n - 1]
         if sub == 0:
             continue  # infinity passes
-        assert n * v.val(sub / (n * A.coeffs[n])) > drop
+        assert n * rational_val(v, sub / (n * A.coeffs[n])) > drop
 
 
 def test_generator_output_is_ed():
@@ -243,7 +242,7 @@ def test_generator_output_is_ed():
         assert rep.verdict, (A, p)
         # no interior index can sit exactly on the segment once (D1) holds
         n = A.formal_degree
-        v0, vn = v.val(A.coeffs[0]), v.val(A.coeffs[n])
+        v0, vn = rational_val(v, A.coeffs[0]), rational_val(v, A.coeffs[n])
         for i in range(1, n):
             if A.coeffs[i] != 0:
-                assert n * v.val(A.coeffs[i]) != (n - i) * v0 + i * vn
+                assert n * rational_val(v, A.coeffs[i]) != (n - i) * v0 + i * vn

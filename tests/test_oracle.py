@@ -5,11 +5,7 @@ import pytest
 
 from edcert import FormalPoly, certify_search
 from edcert.oracle import brute_irreducible, primitive_integer_form
-from helpers import random_ed_polynomial
-
-
-def poly(*coeffs, n=None):
-    return FormalPoly.from_coeffs(coeffs, formal_degree=n)
+from helpers import poly, random_ed_polynomial
 
 
 def as_primitive(A):

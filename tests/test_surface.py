@@ -4,8 +4,12 @@ A name stays public only for one of these reasons: code in src/edcert calls
 it, the CLI calls it, it is a documented Fraction view of the integer form,
 or the benchmark's tracer (bench/tracing.py) wraps it by name.  Test-only
 operations live in tests/helpers.py, and reversal, scalings and shears are
-written as act(A, Mat2(...)).
+written as act(A, Mat2(...)).  Only the modules named in FRACTION_IMPORTERS
+import fractions, each for the reason given there.
 """
+
+import ast
+from pathlib import Path
 
 import edcert
 from edcert import FormalPoly, Mat2
@@ -58,7 +62,16 @@ MAT2 = {
     "d": "the integer form",
     "den": "the integer form",
     "entries": "documented view: the Fractions; the CLI prints them",
-    "identity": "certify_search's stage-1 transform",
+}
+
+
+# The modules that import fractions: every other one works on the integer
+# forms alone (FormalPoly's (den, nums), Mat2's (a, b, c, d, den)).
+FRACTION_IMPORTERS = {
+    "poly": "FormalPoly.coeffs, the documented view, and from_coeffs, its inverse",
+    "moebius": "Mat2.entries, the documented view",
+    "certify": "phi and the stage-4 grid t, bench tracer targets",
+    "newton_ed": "the Newton-polygon slopes, outputs of the paper",
 }
 
 
@@ -74,3 +87,14 @@ def test_package_exports_only_the_kept_names():
 def test_formal_poly_and_mat2_have_only_the_kept_attributes():
     assert _public(FormalPoly) == set(FORMAL_POLY)
     assert _public(Mat2) == set(MAT2)
+
+
+def test_only_the_rational_views_import_fractions():
+    importers = set()
+    for path in Path(edcert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions" or (
+                isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            ):
+                importers.add(path.stem)
+    assert importers == set(FRACTION_IMPORTERS)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edcert import PAdic
-from helpers import reference_int_val
+from helpers import rational_val, reference_int_val
 
 
 def test_val_examples():
@@ -13,9 +13,14 @@ def test_val_examples():
     assert v2.val(8) == 3
     with pytest.raises(ValueError):
         v2.val(0)
-    assert v2.val(Fraction(1, 2)) == -1
-    assert v2.val(Fraction(3, 4)) == -2
-    assert PAdic(5).val(Fraction(205, 256)) == 1
+    assert v2.val(-12) == 2 and v2.val(True) == 0
+    # val reads integers; a rational's value is read from its integer form
+    for bad in (Fraction(1, 2), Fraction(4), 0.5, 8.0):
+        with pytest.raises(TypeError):
+            v2.val(bad)
+    assert rational_val(v2, Fraction(1, 2)) == -1
+    assert rational_val(v2, Fraction(3, 4)) == -2
+    assert rational_val(PAdic(5), Fraction(205, 256)) == 1
 
 
 def test_non_prime_rejected():
@@ -30,21 +35,21 @@ nonzero_rationals = st.fractions(max_denominator=100).filter(lambda q: q != 0)
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from([2, 3, 5, 7]))
 def test_valuation_axioms(a, b, p):
     v = PAdic(p)
-    assert v.val(a * b) == v.val(a) + v.val(b)
+    assert rational_val(v, a * b) == rational_val(v, a) + rational_val(v, b)
     if a + b != 0:
-        assert v.val(a + b) >= min(v.val(a), v.val(b))
-        if v.val(a) != v.val(b):
-            assert v.val(a + b) == min(v.val(a), v.val(b))
+        assert rational_val(v, a + b) >= min(rational_val(v, a), rational_val(v, b))
+        if rational_val(v, a) != rational_val(v, b):
+            assert rational_val(v, a + b) == min(rational_val(v, a), rational_val(v, b))
     else:
         with pytest.raises(ValueError):
-            v.val(a + b)
+            rational_val(v, a + b)
 
 
 @given(nonzero_rationals, st.sampled_from([2, 3, 5, 7]))
 def test_unit_and_inverse_values(a, p):
     v = PAdic(p)
     assert v.val(1) == 0 and v.val(-1) == 0
-    assert v.val(1 / a) == -v.val(a)
+    assert rational_val(v, 1 / a) == -rational_val(v, a)
 
 
 def test_val_matches_one_division_per_unit():
@@ -69,4 +74,4 @@ def test_val_matches_one_division_per_unit():
             for v in (2**j - 1, 2**j, 2**j + 1):
                 x = p**v * unit
                 assert PAdic(p).val(x) == reference_int_val(x, p), (p, v)
-                assert PAdic(p).val(Fraction(7, x)) == -reference_int_val(x, p)
+                assert rational_val(PAdic(p), Fraction(7, x)) == -reference_int_val(x, p)
