@@ -15,10 +15,14 @@ does not divide the degree n:
 
 Only finitely many primes can work: any witness prime must divide the
 degree n, or show up in the constant/leading coefficient ratio of U(A) or
-of L(A).  The search enumerates those primes in ascending order and, per
-prime, checks A itself, then, when p does not divide n, U(A) and a
-bounded grid of t values; the first hit is returned as a machine-checkable certificate.  L(A) is not searched:
-by the orbit lemma (see certify_search) it can never give the first hit.
+of L(A); candidate_primes is that set, the paper's.  The search walks, in
+ascending order, only those of them that divide n or U(A)'s ratio, since by
+the orbit lemma (see certify_search) a hit at a prime not dividing n makes
+U(A) Eisenstein-Dumas there, and (D1) then puts the prime in U(A)'s ratio.
+Per prime it checks A itself, then, when p does not divide n, U(A) and a
+bounded grid of t values; the first hit is returned as a machine-checkable
+certificate.  L(A) is not searched: by the same lemma it can never give the
+first hit, and a prime that only its ratio shows is not walked.
 A failed search is reported inconclusive, never as "reducible": the
 criterion is one-sided.  Stage 4 runs on integers, and builds only the
 members whose endpoints pass (D0) and (D1) (endpoint lemma, see certify_search).
@@ -36,7 +40,7 @@ from .exact_arith import (DEFAULT_RHO_BUDGET, TRIAL_BOUND, Factorization, _first
                           _strip, factor)
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
-from .poly import FormalPoly, _form_at, _substitute
+from .poly import FormalPoly, _form_at, _rational, _substitute
 from .valuation import PAdic
 
 
@@ -72,8 +76,7 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
 
 def phi(A: FormalPoly, t: Fraction | int) -> Fraction:
     """t - n A(t)/A'(t), read on integers as P/Q in _family_grid; needs A'(t) != 0."""
-    n, alpha, t = A.formal_degree, A.nums, Fraction(t)
-    a, b = t.numerator, t.denominator
+    n, alpha, (a, b) = A.formal_degree, A.nums, _rational(t)
     G = _form_at([i * x for i, x in enumerate(alpha)][1:] or [0], a, b)
     if G == 0:
         raise ValueError("phi undefined: A'(t) = 0")
@@ -84,9 +87,9 @@ def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly
     """Member [[t, phi(t)], [1, 1]] of the one-parameter family, applied to A.
 
     The determinant is t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected
-    by phi and A(t) = 0 by Mat2 as a singular matrix, both with ValueError.
+    by phi and A(t) = 0 by Mat2 as a singular matrix, both with ValueError;
+    a t that is not an int or a Fraction raises TypeError, in phi.
     """
-    t = Fraction(t)
     m = _family_matrix(t, *phi(A, t).as_integer_ratio())
     return m, act(A, m)
 
@@ -101,26 +104,30 @@ class CandidatePrimes(Record):
         _set(self, "complete", complete)
 
 
-def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
+def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool, int]:
     """Band 1, the primes below 4096 of the values candidate_primes factors, in
-    ascending order; the tails above 1 those values leave; whether A is degenerate.
+    ascending order; the tails above 1 those values leave; whether A is
+    degenerate; and |n num den|, num/den U(A)'s reduced endpoint ratio (n
+    alone when A is degenerate or U(A)'s b_0 is 0), whose primes are the
+    only ones a search can hit at (orbit lemma, see certify_search).
     Band 1 comes from one gcd per search, over the product of the nonzero
     |values|, and a value's tail is the value without the band-1 primes."""
     n, a = A.formal_degree, A.nums
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
     if not degenerate:
-        for alpha in (a, a[::-1]):
+        for alpha in (a, a[::-1]):  # U(A), then L(A)
             u, w = -alpha[n - 1], n * alpha[n]
             F = _form_at(alpha, u, w)
-            if F != 0:  # else that transform fails (D0) at every prime
-                den = w**n * alpha[n]
-                g = math.gcd(F, den)
-                values += [F // g, den // g]
-    values = [abs(x) for x in values if x]
+            den = w**n * alpha[n]
+            g = math.gcd(F, den)
+            values += [F // g, den // g]  # (0, 1) if F = 0: (D0) fails at every prime
+    values = [abs(x) for x in values]
+    upper_key = math.prod(filter(None, values[:3]))
+    values = [x for x in values if x]
     band1 = _first_range_primes(math.prod(values))
     tails = sorted({_strip(x, band1, {}) for x in values} - {1})
-    return band1, tails, degenerate
+    return band1, tails, degenerate, upper_key
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -140,9 +147,11 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     the flag is dropped to False (degenerate case).  The flag is also False
     whenever a factorization ran out of budget.  This is the paper's whole
     prime set (criterion 4 pins it to {2, 3} on x^4 - 14x^2 + 9): band 1 and
-    the primes of factor(tail) for each tail, as certify_search walks them.
+    the primes of factor(tail) for each tail.  certify_search walks only
+    those that divide n or U(A)'s ratio (see its orbit lemma), but reads the
+    flag from every tail as this function does.
     """
-    band1, tails, degenerate = _ratio_values(A)
+    band1, tails, degenerate, _ = _ratio_values(A)
     found = [factor(t, rho_budget=rho_budget) for t in tails]
     return CandidatePrimes(
         frozenset(band1).union(p for fz in found for p in fz.primes),
@@ -191,7 +200,7 @@ def _family_gate(vp: PAdic, n: int, F: int, FP: int) -> bool:
     return FP != 0 and math.gcd(vp.val(FP) - vp.val(F), n) == 1
 
 
-def _family_matrix(t: Fraction, P: int, Q: int) -> Mat2:
+def _family_matrix(t: Fraction | int, P: int, Q: int) -> Mat2:
     """The member [[t, P/Q], [1, 1]] in integer form, t = a/b:
     [[aQ, bP], [bQ, bQ]] / bQ."""
     a, b = t.numerator, t.denominator
@@ -302,10 +311,16 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     does not divide n the mean m of the roots has v(m - c) > r'.  So every
     root of U(A) = A(x + m) has valuation r', and U(A) is Eisenstein-Dumas.
     Hence at p not dividing n no stage after 2 can give the first hit, which
-    is why L(A) is not tested.  Stage 4 is redundant by the same lemma but is
-    still searched, so that a search costs what the benchmark measured:
-    without it the benchmark runs many more calls in its fixed time and
-    keeps one sample per call, which raises its peak memory past its bound.
+    is why L(A) is not tested.  Nor can any stage hit at a prime p that
+    divides neither n nor U(A)'s reduced endpoint ratio num/den: a hit there
+    would make U(A) Eisenstein-Dumas at p, and (D1) would give v(b_0) !=
+    v(b_n), so p would divide num den.  So the search walks only the
+    candidate primes that divide n num den; a prime that only L(A)'s ratio
+    shows is skipped, and the audit has no entry for it.  Stage 4 is
+    redundant by the same lemma but is still searched, so that a search
+    costs what the benchmark measured: without it the benchmark runs many
+    more calls in its fixed time and keeps one sample per call, which raises
+    its peak memory past its bound.
     Removing stage 4 waits for that change of the benchmark (ROADMAP item 1).
 
     Gcd lemma: if an integer polynomial B of degree n >= 2 is Eisenstein-Dumas
@@ -322,7 +337,10 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     strips each value of them; factor(tail) is factor(value) without them,
     with the same cofactor.
     The search walks band 1 ascending and, only on a miss, the sorted primes
-    of factor(tail), so every candidate prime below a hit is walked first.
+    of factor(tail), in both bands only those dividing n num den (see the
+    orbit lemma), so every prime below a hit at which a hit could be is
+    walked first.  The filter changes neither which tails are factored nor
+    when: L(A)'s are factored too, and the flag reads every tail.
     The flag is not degenerate if every tail is below (TRIAL_BOUND + 1)^2, as
     trial division ends it complete, else it is read from those factorizations,
     which run on first need, at most once per search.
@@ -355,7 +373,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     if n < 2:
         raise ValueError("certification requires degree >= 2")
 
-    band1, tails, degenerate = _ratio_values(A)
+    band1, tails, degenerate, upper_key = _ratio_values(A)
     found: list[Factorization] = []
     audit: list[AuditEntry] = []
 
@@ -368,9 +386,9 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
         return not degenerate and (max(tails, default=1) < (TRIAL_BOUND + 1) ** 2
                                    or all(fz.complete for fz in factored()))
 
-    def primes():
-        yield from band1
-        yield from sorted({p for fz in factored() for p in fz.primes})
+    def primes():  # the candidate primes a hit can be at (orbit lemma above)
+        yield from (p for p in band1 if upper_key % p == 0)
+        yield from sorted({p for fz in factored() for p in fz.primes if upper_key % p == 0})
 
     # U(A) and the family members do not depend on the prime; U(A) is built
     # when stage 2 first runs.

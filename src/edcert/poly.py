@@ -35,6 +35,14 @@ def _form_at(alpha: Sequence[int], u: int, w: int) -> int:
     return F
 
 
+def _rational(t: Fraction | int) -> tuple[int, int]:
+    """(numerator, denominator) of a rational point t, an int or a Fraction;
+    anything else, a float included, raises TypeError."""
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"a rational point must be an int or a Fraction, got {type(t).__name__}")
+    return t.numerator, t.denominator
+
+
 def _substitute(A: "FormalPoly", lam: int, a: int, b: int, c: int, d: int) -> "FormalPoly":
     """A g at formal degree n = deg_f(A) for g = [[a, b], [c, d]] / lam, all
     five integers, ad != bc: the binary form of A at (ax+b, cx+d) over lam^n.
@@ -138,15 +146,15 @@ class FormalPoly(Record):
         binary form at (p, q), _form_at), divided once by den q^n; only that
         last Fraction is reduced, which matters when t is tall.
         """
-        q = t.denominator
-        return Fraction(_form_at(self.nums, t.numerator, q), self.den * q ** (len(self.nums) - 1))
+        p, q = _rational(t)
+        return Fraction(_form_at(self.nums, p, q), self.den * q ** (len(self.nums) - 1))
 
     def taylor_shift(self, t: Fraction | int) -> "FormalPoly":
         """A(x + t) at the same formal degree; leading coefficient unchanged.
 
         The action of the shear [[1, t], [0, 1]]: O(n^2) integer operations.
         """
-        if t == 0:
+        p, q = _rational(t)
+        if p == 0:
             return self
-        p, q = t.numerator, t.denominator
         return _substitute(self, q, q, p, 0, q)

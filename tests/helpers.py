@@ -542,10 +542,35 @@ def reference_candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_B
 _PRIMES_BELOW_4096 = [p for p in range(2, 4096) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
-def reference_ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
+def upper_ratio_key(A: FormalPoly) -> int:
+    """|n num den|, num/den the reduced endpoint ratio b_0/b_n of U(A) =
+    A(x - a_(n-1)/(n a_n)), built by FormalPoly.taylor_shift (so it does not
+    go through upper_transform, which a test may replace); n alone when a_0
+    or a_n is 0 (degenerate) or b_0 = 0.  By the orbit lemma and (D1), every
+    prime a search can hit at divides it."""
+    n, cs = A.formal_degree, A.coeffs
+    if n < 1 or cs[0] == 0 or cs[n] == 0:
+        return max(n, 1)
+    b = A.taylor_shift(-cs[n - 1] / (n * cs[n])).coeffs
+    ratio = b[0] / b[n] if b[0] else Fraction(1)
+    return abs(n * ratio.numerator * ratio.denominator)
+
+
+def walked_only(cert: Certificate) -> Certificate:
+    """cert without its audit entries at the primes that divide neither n nor
+    U(A)'s endpoint ratio (upper_ratio_key): what the search, which skips
+    those primes, reports where a search over all candidate primes gave cert."""
+    key = upper_ratio_key(cert.input)
+    audit = tuple(e for e in cert.audit if key % e.prime == 0)
+    return Certificate(cert.input, cert.verdict, cert.prime, cert.stage, cert.transform, cert.witness,
+                       cert.report, audit, cert.candidate_primes_complete)
+
+
+def reference_ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool, int]:
     """certify._ratio_values by brute force: the values are n and the reduced
     endpoint ratios of U(A) and L(A) built in full, as reference_candidate_primes
-    reads them, and each nonzero |value| is divided by every prime below 4096.
+    reads them, and each nonzero |value| is divided by every prime below 4096;
+    the last entry is upper_ratio_key(A).
     The differential tests compare _ratio_values against it."""
     n = A.formal_degree
     degenerate = n < 1 or A.coeffs[0] == 0 or A.coeffs[n] == 0
@@ -567,7 +592,7 @@ def reference_ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool]:
                 x //= p
         if x > 1:
             tails.add(x)
-    return sorted(band1), sorted(tails), degenerate
+    return sorted(band1), sorted(tails), degenerate, upper_ratio_key(A)
 
 
 def endpoints_pass(b0: Fraction, bn: Fraction, vp: PAdic, n: int) -> bool:
