@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from ._record import Record, _set
@@ -104,14 +105,15 @@ class CandidatePrimes(Record):
         _set(self, "complete", complete)
 
 
-def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool, int]:
-    """Band 1, the primes below 4096 of the values candidate_primes factors, in
-    ascending order; the tails above 1 those values leave; whether A is
-    degenerate; and |n num den|, num/den U(A)'s reduced endpoint ratio (n
-    alone when A is degenerate or U(A)'s b_0 is 0), whose primes are the
-    only ones a search can hit at (orbit lemma, see certify_search).
-    Band 1 comes from one gcd per search, over the product of the nonzero
-    |values|, and a value's tail is the value without the band-1 primes."""
+def _ratio_values(A: FormalPoly) -> tuple[list[int], bool, int]:
+    """The values candidate_primes factors, as their nonzero absolute values:
+    n and the reduced numerator and denominator of U(A)'s and of L(A)'s
+    endpoint ratio (n alone when A is degenerate); whether A is degenerate;
+    and |n num den|, num/den U(A)'s reduced endpoint ratio (n alone when A is
+    degenerate or U(A)'s b_0 is 0), whose primes are the only ones a search
+    can hit at (orbit lemma, see certify_search).  The walk reads n and
+    U(A)'s ratio only; L(A)'s values are read for the flag and a band-1 miss
+    (see Bands in certify_search)."""
     n, a = A.formal_degree, A.nums
     degenerate = n < 1 or a[0] == 0 or a[n] == 0
     values = [n]
@@ -124,10 +126,15 @@ def _ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool, int]:
             values += [F // g, den // g]  # (0, 1) if F = 0: (D0) fails at every prime
     values = [abs(x) for x in values]
     upper_key = math.prod(filter(None, values[:3]))
-    values = [x for x in values if x]
+    return [x for x in values if x], degenerate, upper_key
+
+
+def _bands(values: list[int]) -> tuple[list[int], list[int]]:
+    """Band 1, the primes below 4096 of the values, ascending, from one gcd
+    of their product with the first range's product; and the tails above 1,
+    each value without the band-1 primes."""
     band1 = _first_range_primes(math.prod(values))
-    tails = sorted({_strip(x, band1, {}) for x in values} - {1})
-    return band1, tails, degenerate, upper_key
+    return band1, sorted({_strip(x, band1, {}) for x in values} - {1})
 
 
 def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> CandidatePrimes:
@@ -151,7 +158,8 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     those that divide n or U(A)'s ratio (see its orbit lemma), but reads the
     flag from every tail as this function does.
     """
-    band1, tails, degenerate, _ = _ratio_values(A)
+    values, degenerate, _ = _ratio_values(A)
+    band1, tails = _bands(values)
     found = [factor(t, rho_budget=rho_budget) for t in tails]
     return CandidatePrimes(
         frozenset(band1).union(p for fz in found for p in fz.primes),
@@ -215,11 +223,13 @@ def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
 
 
 class SearchConfig(Record):
-    """Knobs for certify_search; the defaults reproduce the documented search."""
+    """Knobs for certify_search; the defaults reproduce the documented search.
+    rho_budget is an integer, else TypeError, of at least 1, else ValueError."""
 
     __slots__ = ("rho_budget",)
 
     def __init__(self, rho_budget: int = DEFAULT_RHO_BUDGET):
+        rho_budget = operator.index(rho_budget)
         if rho_budget < 1:
             raise ValueError(f"rho_budget must be at least 1, got {rho_budget}")
         _set(self, "rho_budget", rho_budget)
@@ -276,6 +286,8 @@ STAGE_NAMES = {
 
 
 _IDENTITY = Mat2(1, 0, 0, 1)  # the stage-1 transform; Mat2 is immutable
+# factor ends a number below this complete by trial division alone
+_TRIAL_SQUARE = (TRIAL_BOUND + 1) ** 2
 
 
 def _failure_reason(report: EDReport) -> str:
@@ -331,19 +343,22 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     which A, U(A) or a member can hit divides g_0 or g_n (orbit lemma); the
     tests compare this search with one over the primes of n, g_0 and g_n.
 
-    Bands.  _ratio_values finds band 1, the primes below 4096 of the values
-    candidate_primes factors, from one gcd of their product with the product
-    of those primes, split over them as factor's first trial range is, and
-    strips each value of them; factor(tail) is factor(value) without them,
-    with the same cofactor.
-    The search walks band 1 ascending and, only on a miss, the sorted primes
-    of factor(tail), in both bands only those dividing n num den (see the
-    orbit lemma), so every prime below a hit at which a hit could be is
-    walked first.  The filter changes neither which tails are factored nor
-    when: L(A)'s are factored too, and the flag reads every tail.
-    The flag is not degenerate if every tail is below (TRIAL_BOUND + 1)^2, as
-    trial division ends it complete, else it is read from those factorizations,
-    which run on first need, at most once per search.
+    Bands.  The walk reads n and U(A)'s ratio only.  Its band 1 is the
+    primes below 4096 of n num den, from one gcd with the product of those
+    primes, split over them as factor's first trial range is; these are the
+    primes of band 1 proper (those of every value candidate_primes factors,
+    L(A)'s included) that divide n num den.  Only on a miss does it walk the
+    sorted primes of factor(tail) that divide n num den, so every prime below
+    a hit at which a hit could be (see the orbit lemma) is walked first.  A
+    tail is a value stripped of band 1 proper (see _bands); factor(tail) is
+    factor(value) without those primes, with the same cofactor.  The tails,
+    L(A)'s included, are computed and factored only when a band-1 miss or
+    the flag first needs them, at most once per search, so the filter
+    changes neither which tails are factored nor when.  The flag is set for
+    a non-degenerate A when every value is below (TRIAL_BOUND + 1)^2, with
+    nothing stripped, since a tail is never larger than its value; else when
+    every tail is, as trial division ends it complete; else it is read from
+    the tails' factorizations.
 
     Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
@@ -373,21 +388,30 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     if n < 2:
         raise ValueError("certification requires degree >= 2")
 
-    band1, tails, degenerate, upper_key = _ratio_values(A)
-    found: list[Factorization] = []
+    values, degenerate, upper_key = _ratio_values(A)
+    tails: list[int] | None = None
+    found: list[Factorization] | None = None
     audit: list[AuditEntry] = []
 
-    def factored():  # factor(t) for each tail t, run on first need (see Bands above)
-        if not found:
-            found.extend(factor(t, rho_budget=config.rho_budget) for t in tails)
+    def stripped():  # the values' tails, on first need (see Bands above)
+        nonlocal tails
+        if tails is None:
+            tails = _bands(values)[1]
+        return tails
+
+    def factored():  # factor(t) for each tail t, on first need
+        nonlocal found
+        if found is None:
+            found = [factor(t, rho_budget=config.rho_budget) for t in stripped()]
         return found
 
-    def complete():
-        return not degenerate and (max(tails, default=1) < (TRIAL_BOUND + 1) ** 2
+    def complete():  # a tail is never larger than its value
+        return not degenerate and (max(values) < _TRIAL_SQUARE
+                                   or max(stripped(), default=1) < _TRIAL_SQUARE
                                    or all(fz.complete for fz in factored()))
 
     def primes():  # the candidate primes a hit can be at (orbit lemma above)
-        yield from (p for p in band1 if upper_key % p == 0)
+        yield from _first_range_primes(upper_key)
         yield from sorted({p for fz in factored() for p in fz.primes if upper_key % p == 0})
 
     # U(A) and the family members do not depend on the prime; U(A) is built

@@ -53,6 +53,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 
 from ._record import Record, _set
@@ -141,7 +142,9 @@ def is_probable_prime(n: int) -> bool:
     with n < psi_k (the table in the module docstring), which is a proof
     below psi_13 ~ 3.3e24.  From psi_13 on all 13 bases run and a strong
     Lucas test is added (BPSW: Baillie & Wagstaff, Math. Comp. 1980), with no
-    known counterexample."""
+    known counterexample.  n is an integer (bools count as ints); anything
+    else raises TypeError."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -10,8 +10,9 @@ axioms
 The value at 0 is infinity by convention; here it is an error instead,
 since every caller tests a coefficient for zero before reading its value.
 
-PAdic.val reads integers only: callers hold rationals in the integer form
-of FormalPoly, and v(a/b) = v(a) - v(b).
+PAdic reads its prime, and PAdic.val its argument, as integers only:
+callers hold rationals in the integer form of FormalPoly, and
+v(a/b) = v(a) - v(b).
 
 The value group here is always Z (rank one, discrete): up to equivalence
 these are the only nontrivial valuations the rational field carries.  The
@@ -58,11 +59,13 @@ def _int_val(n: int, p: int) -> int:
 
 class PAdic(Record):
     """The p-adic valuation v_p on Q, with primality of p checked up front
-    (deterministically below 3.3e24, see is_probable_prime)."""
+    (deterministically below 3.3e24, see is_probable_prime).  p is an
+    integer (bools count as ints); anything else raises TypeError."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        p = operator.index(p)
         if not is_probable_prime(p):
             raise ValueError(f"{_clip(str(p))} is not prime")
         _set(self, "p", p)

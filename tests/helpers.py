@@ -567,11 +567,12 @@ def walked_only(cert: Certificate) -> Certificate:
 
 
 def reference_ratio_values(A: FormalPoly) -> tuple[list[int], list[int], bool, int]:
-    """certify._ratio_values by brute force: the values are n and the reduced
-    endpoint ratios of U(A) and L(A) built in full, as reference_candidate_primes
-    reads them, and each nonzero |value| is divided by every prime below 4096;
-    the last entry is upper_ratio_key(A).
-    The differential tests compare _ratio_values against it."""
+    """certify's band 1 and tails (_bands of _ratio_values' values), whether A
+    is degenerate, and upper_ratio_key(A), by brute force: the values are n
+    and the reduced endpoint ratios of U(A) and L(A) built in full, as
+    reference_candidate_primes reads them, and each nonzero |value| is
+    divided by every prime below 4096.
+    The differential tests compare _ratio_values and _bands against it."""
     n = A.formal_degree
     degenerate = n < 1 or A.coeffs[0] == 0 or A.coeffs[n] == 0
     values = [n]

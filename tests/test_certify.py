@@ -52,6 +52,7 @@ import edcert.certify as certify_module
 import edcert.exact_arith as exact_arith_module
 import edcert.valuation as valuation_module
 from edcert.certify import (
+    _bands,
     _failure_reason,
     _ratio_values,
     _family_gate,
@@ -63,7 +64,7 @@ from edcert.certify import (
     phi,
 )
 from edcert.cli import certificate_to_json, validate_certificate_json
-from edcert.exact_arith import TRIAL_BOUND, is_probable_prime
+from edcert.exact_arith import TRIAL_BOUND, _first_range_primes, is_probable_prime
 
 
 def test_upper_transform():
@@ -445,6 +446,12 @@ def test_search_config_rejects_a_budget_below_one(budget):
         SearchConfig(rho_budget=budget)
 
 
+@pytest.mark.parametrize("budget", [2.5, 1000.0, Fraction(1000), "1000", None])
+def test_search_config_takes_an_integer_budget(budget):
+    with pytest.raises(TypeError):
+        SearchConfig(rho_budget=budget)
+
+
 def test_certify_prime_from_a_transform_ratio():
     # x^2 + 10x + 5: Eisenstein at 5, but 5 only enters via the U/L ratios
     A = poly(5, 10, 1)
@@ -643,7 +650,7 @@ def test_a_hit_prime_divides_n_or_the_upper_ratio():
         if n % p and is_ed(upper_transform(A)[1], vp).verdict:
             stages.append(2)
         for stage in stages:
-            assert upper_ratio_key(A) % p == 0 and _ratio_values(A)[3] % p == 0, (A, p, stage)
+            assert upper_ratio_key(A) % p == 0 and _ratio_values(A)[2] % p == 0, (A, p, stage)
             hits[stage, n % p == 0, kind == 1] += 1
     assert sum(hits.values()) >= 1000, hits
     assert hits[1, True, False] >= 100 and hits[2, False, True] >= 100, hits
@@ -819,10 +826,13 @@ def test_band_one_search_matches_the_eager_search():
 def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
     # Counted, not timed: the search settles these two without factor and
     # tests no number of 4096^2 or more for primality; factoring in full
-    # first tests the cofactor 18535848059 of mixed-lowdeg/0226.  A hit with a
-    # tail of (TRIAL_BOUND + 1)^2 or more still factors its tails, for its flag.
-    calls, operands = [], []
-    real_factor, real_test = certify_module.factor, exact_arith_module.is_probable_prime
+    # first tests the cofactor 18535848059 of mixed-lowdeg/0226.  Their values
+    # are all below (TRIAL_BOUND + 1)^2, so nothing is stripped of band 1
+    # either.  A hit with a tail of (TRIAL_BOUND + 1)^2 or more still strips
+    # its values and factors its tails, for its flag.
+    calls, operands, strips = [], [], []
+    real_factor, real_test, real_strip = (certify_module.factor, exact_arith_module.is_probable_prime,
+                                          exact_arith_module._strip)
 
     def counted_factor(n, **kwargs):
         calls.append(n)
@@ -832,43 +842,59 @@ def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
         operands.append(n)
         return real_test(n)
 
+    def counted_strip(n, primes, found):
+        strips.append(n)
+        return real_strip(n, primes, found)
+
     monkeypatch.setattr(certify_module, "factor", counted_factor)
     monkeypatch.setattr(exact_arith_module, "is_probable_prime", counted_test)
     monkeypatch.setattr(valuation_module, "is_probable_prime", counted_test)
+    monkeypatch.setattr(certify_module, "_strip", counted_strip)
+    monkeypatch.setattr(exact_arith_module, "_strip", counted_strip)
     # x^2 + 4x + 8, and mixed-lowdeg/0226, an input at the median certify time
     for A in (poly(8, 4, 1), poly(28, -686, -2058, 98, -196, 294, -196)):
+        assert max(_ratio_values(A)[0]) < (TRIAL_BOUND + 1) ** 2, A
         cert = certify_search(A)
         assert cert.irreducible and cert.prime < 4096 and cert.candidate_primes_complete
         assert calls == [] and operands and max(operands) < 4096**2, (A, operands)
+        assert strips == [], (A, strips)
     cert = certify_search(cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000))
-    assert cert.irreducible and cert.prime == 13 and calls
+    assert cert.irreducible and cert.prime == 13 and calls and strips
     assert _INCOMPLETE in certificate_to_json(cert)["audit"]
 
 
 def test_a_search_strips_each_value_once_and_factors_each_tail_once(monkeypatch):
     # x^2 + 4099 misses in band 1 ({2}) and hits at 4099, a tail; Phi_13(x + 4)
-    # hits at 13 in band 1 and factors its large tails for the flag.
+    # hits at 13 in band 1 and factors its large tails for the flag.  Each
+    # computes its values once, and strips them of band 1 once, on first need.
     first_range_product = math.prod(p for p in range(2, 4096) if is_probable_prime(p))
-    strips, operands = [], []
-    real_values, real_factor = certify_module._ratio_values, certify_module.factor
+    computed, strips, operands = [], [], []
+    real_values, real_bands, real_factor = (certify_module._ratio_values, certify_module._bands,
+                                            certify_module.factor)
 
     def counted_values(A):
-        strips.append(A)
+        computed.append(A)
         return real_values(A)
+
+    def counted_bands(values):
+        strips.append(values)
+        return real_bands(values)
 
     def counted_factor(n, **kwargs):
         operands.append(n)
         return real_factor(n, **kwargs)
 
     monkeypatch.setattr(certify_module, "_ratio_values", counted_values)
+    monkeypatch.setattr(certify_module, "_bands", counted_bands)
     monkeypatch.setattr(certify_module, "factor", counted_factor)
     for A, config, prime in ((poly(4099, 0, 1), None, 4099),
                              (cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000), 13)):
+        computed.clear()
         strips.clear()
         operands.clear()
         cert = certify_search(A, config)
         assert cert.irreducible and cert.prime == prime, A
-        assert strips == [A], A
+        assert computed == [A] and strips == [real_values(A)[0]], A
         assert operands and len(set(operands)) == len(operands), (A, operands)
         assert all(math.gcd(x, first_range_product) == 1 for x in operands), (A, operands)
 
@@ -908,14 +934,17 @@ def test_ratio_values_match_division_by_every_prime_below_4096():
         inputs.append(power)
     keys = Counter()
     for A in inputs:
-        got = _ratio_values(A)
-        assert got == reference_ratio_values(A), A
-        keys[got[3] == A.formal_degree] += 1
+        values, degenerate, key = _ratio_values(A)
+        band1, tails = _bands(values)
+        assert (band1, tails, degenerate, key) == reference_ratio_values(A), A
+        # the walk's band 1, read from n num den alone, is band 1 filtered by it
+        assert _first_range_primes(key) == [p for p in band1 if key % p == 0], A
+        keys[key == A.formal_degree] += 1
     assert keys[True] >= 66 and keys[False] >= 300, keys
-    band1, tails, _, key = _ratio_values(poly(4093, 0, 0, 4091))
-    assert band1 == [3, 4091, 4093] and tails == [] and key == 3 * 4091 * 4093
-    band1, tails, _, key = _ratio_values(poly(4099 * 7, 0, 1))  # U(A) = A, L(A) = A: the ratio 28693
-    assert band1 == [2, 7] and tails == [4099] and key == 2 * 7 * 4099
+    values, _, key = _ratio_values(poly(4093, 0, 0, 4091))
+    assert _bands(values) == ([3, 4091, 4093], []) and key == 3 * 4091 * 4093
+    values, _, key = _ratio_values(poly(4099 * 7, 0, 1))  # U(A) = A, L(A) = A: the ratio 28693
+    assert values == [2, 28693, 1, 1, 28693] and _bands(values) == ([2, 7], [4099]) and key == 2 * 7 * 4099
 
 
 def test_the_flag_stays_exact_at_the_default_budget():
@@ -925,3 +954,62 @@ def test_the_flag_stays_exact_at_the_default_budget():
     cert = certify_search(cyclotomic(13).taylor_shift(4))
     assert cert.irreducible and cert.prime == 13 and not cert.candidate_primes_complete
     assert _INCOMPLETE in certificate_to_json(cert)["audit"]
+
+
+def test_the_lazy_flag_is_the_flag_of_the_paper_set():
+    # The search sets candidate_primes_complete without stripping anything
+    # when every value is below (TRIAL_BOUND + 1)^2, and otherwise reads the
+    # tails and their factorizations; either way it is the flag of
+    # candidate_primes, which factors every tail.  Draws: values just below
+    # and just above that bound, among them semiprimes of two primes above
+    # TRIAL_BOUND, which Brent rho cut to one iteration cannot split, and
+    # values above it whose tails are below it; values that large only in
+    # L(A)'s ratio; degenerate inputs (a_0 = 0); Phi_p(x + k); and the
+    # criterion-13 recipe.
+    rng = random.Random(2929)
+    square = (TRIAL_BOUND + 1) ** 2
+    default, cheap, starved = SearchConfig(), SearchConfig(rho_budget=20_000), SearchConfig(rho_budget=1)
+
+    def prime_from(x):
+        while not is_probable_prime(x):
+            x += 1
+        return x
+
+    draws = []
+    # x^2 + c has the values 2, c, 1, 1 and c
+    for d in range(-100, 100):
+        draws.append(("edge", poly(square + d, 0, 1), rng.choice((default, starved))))
+    for _ in range(100):
+        P, R = (prime_from(TRIAL_BOUND + rng.randrange(1, 4000)) for _ in range(2))
+        draws.append(("semiprime", poly(rng.choice((1, -1)) * P * R, 0, 1), rng.choice((default, starved))))
+    for _ in range(100):
+        q = rng.choice((2, 3, 6, 10, 4093))
+        draws.append(("small tail", poly(q * (square // q + rng.randrange(1, 500)), 0, 1), starved))
+    # x^3 + a_1 x + a_0: U(A) = A has the ratio a_0, and L(A)'s ratio is
+    # (27 a_0^2 + 2 a_1^3) / (27 a_0^3) before reduction, so only L(A)'s
+    # numerator reaches the bound, from a_1 = 7938 on.
+    for _ in range(200):
+        a1 = rng.choice((1, -1)) * (rng.randrange(7880, 8000) if rng.random() < 0.5 else rng.randrange(8000, 10**6))
+        a0 = rng.choice((1, -1)) * rng.randint(1, 12)
+        draws.append(("lower only", poly(a0, a1, 0, 1), rng.choice((default, starved))))
+    for _ in range(100):
+        draws.append(("a_0 = 0", poly(0, *random_int_poly(rng, 1, 5, 30).nums), default))
+    draws += [("cyclotomic", cyclotomic(p).taylor_shift(k), rng.choice((cheap, starved)))
+              for p in (3, 5, 7, 11, 13) for k in range(-4, 5)]
+    for i in range(400):
+        A, _ = random_ed_polynomial(rng, max_degree=6, max_unit=6, max_endpoint_val=2, extra_val=1)
+        draws.append(("ed", A.taylor_shift(rng.choice((-1, 1))) if i % 3 == 0 else A, default))
+    seen = Counter()
+    for kind, A, config in draws:
+        flag = certify_search(A, config).candidate_primes_complete
+        assert flag == candidate_primes(A, rho_budget=config.rho_budget).complete, (kind, A, config)
+        values = _ratio_values(A)[0]
+        if kind == "lower only":
+            assert max(values[:3]) < square, A
+        seen[kind, max(values) < square, flag] += 1
+    assert len(draws) >= 1000, len(draws)
+    assert seen["edge", True, True] == 100 and seen["edge", False, True] == 100, seen
+    assert seen["semiprime", False, False] >= 30 and seen["small tail", False, True] == 100, seen
+    assert seen["lower only", True, True] >= 50 and seen["lower only", False, True] >= 50, seen
+    assert seen["lower only", False, False] >= 4 and seen["a_0 = 0", True, False] == 100, seen
+    assert seen["cyclotomic", False, False] >= 3 and seen["ed", True, True] >= 300, seen

@@ -231,6 +231,15 @@ def test_is_probable_prime_spot_checks():
     assert not is_probable_prime((2**31 - 1) * (2**61 - 1))
 
 
+def test_is_probable_prime_takes_an_integer():
+    # A float or a Fraction is refused, not read as a number: 7.0 was once
+    # called prime.  Bools count as ints.
+    for bad in (7.0, 2.0, Fraction(7), 7.5, "7", None):
+        with pytest.raises(TypeError):
+            is_probable_prime(bad)
+    assert not is_probable_prime(True) and not is_probable_prime(False)
+
+
 def test_strong_pseudoprime_to_first_twelve_prime_bases_is_rejected():
     # psi_12 fools Miller-Rabin with the bases 2..37; base 41 catches it.
     p, q = 399165290221, 798330580441

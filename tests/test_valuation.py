@@ -24,9 +24,19 @@ def test_val_examples():
 
 
 def test_non_prime_rejected():
-    for bad in (1, 0, -3, 6, 561, 2**10):
+    for bad in (1, 0, -3, 6, 561, 2**10, True, False):
         with pytest.raises(ValueError):
             PAdic(bad)
+
+
+def test_the_prime_is_an_integer():
+    # PAdic(3.0) once gave v(3^40) = 1 and v(3^60) = 0; a float or a Fraction
+    # is now refused, as PAdic.val refuses one.
+    for bad in (3.0, 7.0, Fraction(7), Fraction(7, 2), "3", None):
+        with pytest.raises(TypeError):
+            PAdic(bad)
+    v3 = PAdic(3)
+    assert v3.val(3**40) == 40 and v3.val(3**60) == 60
 
 
 nonzero_rationals = st.fractions(max_denominator=100).filter(lambda q: q != 0)
