@@ -431,9 +431,10 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
     by coefficient for a triangular transform and by evaluation at n+1
     points for a full one, and re-derives the Eisenstein-Dumas report,
     comparing it bit for bit, in type as well as in value, with the stored
-    one (see the module docstring).  Inconclusive certificates only get a
-    shape check.  Total: any malformed JSON value gives (False, reason),
-    never an exception.
+    one (see the module docstring).  A formal degree below 2 is refused, as
+    by the search, before the stated prime is tested.  Inconclusive
+    certificates only get a shape check.  Total: any malformed JSON value
+    gives (False, reason), never an exception.
     """
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"
@@ -490,6 +491,9 @@ def validate_certificate_json(data: object) -> tuple[bool, str]:
         return False, f"stored report {_clip(str(stored))} disagrees with recomputed {fresh}"
     if not all(fresh[:3]):
         return False, "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    # At n = 1, D1 is gcd(., 1) = 1 at every p, so it does not bound p.
+    if formal_degree < 2:
+        return False, "certification requires degree >= 2"
     # Last, as the one costly test: for n >= 2, D1 at p means p | omega_0 omega_n.
     if not _is_prime(p):
         return False, f"malformed certificate: {_clip(str(p))} is not prime"

@@ -37,8 +37,7 @@ import operator
 from fractions import Fraction
 
 from ._record import Record, _set
-from .exact_arith import (DEFAULT_RHO_BUDGET, TRIAL_BOUND, Factorization, _first_range_primes,
-                          _strip, factor)
+from .exact_arith import DEFAULT_RHO_BUDGET, TRIAL_SQUARE, _first_range_primes, _strip, factor
 from .moebius import Mat2, act
 from .newton_ed import EDReport, is_ed
 from .poly import FormalPoly, _form_at, _rational, _substitute
@@ -75,23 +74,21 @@ def lower_transform(A: FormalPoly) -> tuple[Mat2, FormalPoly]:
     return m, act(A, m)
 
 
-def phi(A: FormalPoly, t: Fraction | int) -> Fraction:
-    """t - n A(t)/A'(t), read on integers as P/Q in _family_grid; needs A'(t) != 0."""
+def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly]:
+    """Member [[t, phi(t)], [1, 1]] of the one-parameter family, applied to A.
+
+    On integers as in _family_grid: with t = a/b, phi(t) = t - n A(t)/A'(t)
+    = P/Q, and the member is [[aQ, bP], [bQ, bQ]] / bQ.  The determinant is
+    t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected here and A(t) = 0 by
+    Mat2 as a singular matrix, both with ValueError; a t that is not an int
+    or a Fraction raises TypeError.
+    """
     n, alpha, (a, b) = A.formal_degree, A.nums, _rational(t)
     G = _form_at([i * x for i, x in enumerate(alpha)][1:] or [0], a, b)
     if G == 0:
         raise ValueError("phi undefined: A'(t) = 0")
-    return Fraction(a * G - n * _form_at(alpha, a, b), b * G)
-
-
-def one_param_member(A: FormalPoly, t: Fraction | int) -> tuple[Mat2, FormalPoly]:
-    """Member [[t, phi(t)], [1, 1]] of the one-parameter family, applied to A.
-
-    The determinant is t - phi(t) = n A(t)/A'(t), so A'(t) = 0 is rejected
-    by phi and A(t) = 0 by Mat2 as a singular matrix, both with ValueError;
-    a t that is not an int or a Fraction raises TypeError, in phi.
-    """
-    m = _family_matrix(t, *phi(A, t).as_integer_ratio())
+    P, Q = a * G - n * _form_at(alpha, a, b), b * G
+    m = Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
     return m, act(A, m)
 
 
@@ -154,11 +151,19 @@ def candidate_primes(A: FormalPoly, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> 
     the flag is dropped to False (degenerate case).  The flag is also False
     whenever a factorization ran out of budget.  This is the paper's whole
     prime set (criterion 4 pins it to {2, 3} on x^4 - 14x^2 + 9): band 1 and
-    the primes of factor(tail) for each tail.  certify_search walks only
-    those that divide n or U(A)'s ratio (see its orbit lemma), but reads the
-    flag from every tail as this function does.
+    the primes of factor(tail) for each tail.  certify_search reads the same
+    code, _paper_set on the same values, for its flag and the primes it
+    walks after band 1; it walks only those that divide n or U(A)'s ratio
+    (see its orbit lemma).
     """
     values, degenerate, _ = _ratio_values(A)
+    return _paper_set(values, degenerate, rho_budget)
+
+
+def _paper_set(values: list[int], degenerate: bool, rho_budget: int) -> CandidatePrimes:
+    """candidate_primes from _ratio_values' values: band 1 and the primes of
+    factor(tail) for each tail, complete unless A is degenerate or some
+    factorization ran out of budget."""
     band1, tails = _bands(values)
     found = [factor(t, rho_budget=rho_budget) for t in tails]
     return CandidatePrimes(
@@ -206,13 +211,6 @@ def _family_gate(vp: PAdic, n: int, F: int, FP: int) -> bool:
     """(D0) and (D1) at vp of the member whose grid point has the values
     F and FP = F(P, Q) of _family_grid (endpoint lemma, see certify_search)."""
     return FP != 0 and math.gcd(vp.val(FP) - vp.val(F), n) == 1
-
-
-def _family_matrix(t: Fraction | int, P: int, Q: int) -> Mat2:
-    """The member [[t, P/Q], [1, 1]] in integer form, t = a/b:
-    [[aQ, bP], [bQ, bQ]] / bQ."""
-    a, b = t.numerator, t.denominator
-    return Mat2(a * Q, b * P, b * Q, b * Q, b * Q)
 
 
 def _family_member(A: FormalPoly, t: Fraction, P: int, Q: int) -> FormalPoly:
@@ -286,8 +284,6 @@ STAGE_NAMES = {
 
 
 _IDENTITY = Mat2(1, 0, 0, 1)  # the stage-1 transform; Mat2 is immutable
-# factor ends a number below this complete by trial division alone
-_TRIAL_SQUARE = (TRIAL_BOUND + 1) ** 2
 
 
 def _failure_reason(report: EDReport) -> str:
@@ -348,17 +344,17 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     primes, split over them as factor's first trial range is; these are the
     primes of band 1 proper (those of every value candidate_primes factors,
     L(A)'s included) that divide n num den.  Only on a miss does it walk the
-    sorted primes of factor(tail) that divide n num den, so every prime below
-    a hit at which a hit could be (see the orbit lemma) is walked first.  A
-    tail is a value stripped of band 1 proper (see _bands); factor(tail) is
-    factor(value) without those primes, with the same cofactor.  The tails,
-    L(A)'s included, are computed and factored only when a band-1 miss or
-    the flag first needs them, at most once per search, so the filter
-    changes neither which tails are factored nor when.  The flag is set for
-    a non-degenerate A when every value is below (TRIAL_BOUND + 1)^2, with
-    nothing stripped, since a tail is never larger than its value; else when
-    every tail is, as trial division ends it complete; else it is read from
-    the tails' factorizations.
+    rest of the paper's set that divides n num den, ascending: the primes of
+    factor(tail), so every prime below a hit at which a hit could be (see the
+    orbit lemma) is walked first.  A tail is a value stripped of band 1
+    proper (see _bands); factor(tail) is factor(value) without those primes,
+    with the same cofactor.  The set is candidate_primes' own, _paper_set on
+    the values the search already holds, built when a band-1 miss or the
+    flag first needs it, at most once per search.  The flag is False for a
+    degenerate A; else it is set when every value is below TRIAL_SQUARE =
+    (TRIAL_BOUND + 1)^2, with nothing stripped or factored, since a tail is
+    never larger than its value and trial division ends it complete; else it
+    is the set's own flag.  Either way it is candidate_primes' flag.
 
     Stage 4 builds a member only when its endpoints pass (D0) and (D1) at p.
     Endpoint lemma: for g = [[a, b], [c, d]] the coefficients of A g at x^n
@@ -375,8 +371,8 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
     (bQ)^n times the member; (D0)-(D2) and their witnesses do not change when
     every coefficient is scaled by one nonzero constant, so is_ed gives the
     member's report.  A built member is kept for the later primes.  Only a
-    hit builds the exact matrix and member for the certificate, and by the
-    orbit lemma that never happens.
+    hit builds the exact matrix and member for the certificate, with
+    one_param_member, and by the orbit lemma that never happens.
     """
     config = config or SearchConfig()
     n = A.formal_degree
@@ -389,30 +385,22 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
         raise ValueError("certification requires degree >= 2")
 
     values, degenerate, upper_key = _ratio_values(A)
-    tails: list[int] | None = None
-    found: list[Factorization] | None = None
+    paper: CandidatePrimes | None = None
     audit: list[AuditEntry] = []
 
-    def stripped():  # the values' tails, on first need (see Bands above)
-        nonlocal tails
-        if tails is None:
-            tails = _bands(values)[1]
-        return tails
+    def paper_set():  # candidate_primes' set and flag, on first need (see Bands above)
+        nonlocal paper
+        if paper is None:
+            paper = _paper_set(values, degenerate, config.rho_budget)
+        return paper
 
-    def factored():  # factor(t) for each tail t, on first need
-        nonlocal found
-        if found is None:
-            found = [factor(t, rho_budget=config.rho_budget) for t in stripped()]
-        return found
-
-    def complete():  # a tail is never larger than its value
-        return not degenerate and (max(values) < _TRIAL_SQUARE
-                                   or max(stripped(), default=1) < _TRIAL_SQUARE
-                                   or all(fz.complete for fz in factored()))
+    def complete():
+        return not degenerate and (max(values) < TRIAL_SQUARE or paper_set().complete)
 
     def primes():  # the candidate primes a hit can be at (orbit lemma above)
-        yield from _first_range_primes(upper_key)
-        yield from sorted({p for fz in factored() for p in fz.primes if upper_key % p == 0})
+        band1 = _first_range_primes(upper_key)
+        yield from band1
+        yield from sorted(p for p in paper_set().primes.difference(band1) if upper_key % p == 0)
 
     # U(A) and the family members do not depend on the prime; U(A) is built
     # when stage 2 first runs.
@@ -466,8 +454,7 @@ def certify_search(A: FormalPoly, config: SearchConfig | None = None) -> Certifi
                 member = members[i] = _family_member(A, t, P, Q)
             report = is_ed(member, vp)
             if report.verdict:
-                m = _family_matrix(t, P, Q)
-                return success(vp, 4, m, act(A, m), report)
+                return success(vp, 4, *one_param_member(A, t), report)
         audit.append(AuditEntry(p, 4, f"no Eisenstein-Dumas member among {len(grid)} admissible "
                                       f"grid points ({members_skipped} skipped)"))
 

@@ -72,6 +72,8 @@ _PSI = (
 _MR_PROVEN_BELOW = _PSI[-1]
 
 TRIAL_BOUND = 10**6
+# factor ends a number below this complete by trial division alone
+TRIAL_SQUARE = (TRIAL_BOUND + 1) ** 2
 DEFAULT_RHO_BUDGET = 500_000
 
 _SEGMENT_WIDTH = 4096
@@ -336,7 +338,7 @@ def factor(n: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
     leftover = 1
     if n > 1:
-        if n < (TRIAL_BOUND + 1) ** 2:
+        if n < TRIAL_SQUARE:
             # n has no prime factor up to min(bound, sqrt(n)), and with
             # n < (bound + 1)^2 that minimum is sqrt(n): n is prime.
             found[n] = found.get(n, 0) + 1

@@ -123,6 +123,17 @@ def derivative(A: FormalPoly) -> FormalPoly:
     return FormalPoly(A.den, tuple(i * x for i, x in enumerate(A.nums))[1:] or (0,))
 
 
+def phi(A: FormalPoly, t: Fraction | int) -> Fraction:
+    """t - n A(t)/A'(t), the family's second entry, computed with
+    FormalPoly.eval, independently of one_param_member's integer form.
+    A'(t) = 0 raises ValueError, and a t that is not an int or a Fraction
+    raises TypeError in eval."""
+    slope = derivative(A).eval(t)
+    if slope == 0:
+        raise ValueError("phi undefined: A'(t) = 0")
+    return t - A.formal_degree * A.eval(t) / slope
+
+
 def parse_rational(text: str) -> Fraction:
     """certificate.read_rational as a Fraction, as the CLI reads a --matrix
     entry; a non-string raises TypeError."""

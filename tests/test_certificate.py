@@ -106,6 +106,31 @@ def test_checker_rejects_a_certificate_naming_psi13():
             assert validate_certificate_json(data) == want, q
 
 
+def test_checker_refuses_degree_one_before_the_prime_test(monkeypatch):
+    # At n = 1, D1 is gcd(v(w_0) - v(w_1), 1) = 1 at every prime, so it no
+    # longer forces p | omega_0 omega_n: x + 1 with the identity transform
+    # passes D0-D2 at 2, at 1000003 and at a 4300-digit composite.  The
+    # checker refuses n < 2 as the search does, without testing the prime;
+    # a certificate it refused before keeps its reason.
+    def prime_test(p):
+        raise AssertionError(f"the prime {p} is tested")
+
+    monkeypatch.setattr(certificate, "_is_prime", prime_test)
+    data = {
+        "input": "x + 1", "formal_degree": 1, "verdict": "irreducible", "prime": "2",
+        "transform": ["1", "0", "0", "1"], "witness_coeffs": ["1", "1"],
+        "report": {"d0": True, "d1": True, "d2": True, "gcd_value": 1, "failing_index": None},
+        "audit": [],
+    }
+    for prime in ("2", "1000003", "7" * 4299 + "1"):
+        data["prime"] = prime
+        assert validate_certificate_json(data) == (False, "certification requires degree >= 2"), prime
+    data["witness_coeffs"] = ["1", "2"]
+    assert validate_certificate_json(data) == (False, "witness does not equal act(input, transform)")
+    data["witness_coeffs"], data["report"]["d1"] = ["1", "1"], False
+    assert validate_certificate_json(data)[1].startswith("stored report ")
+
+
 def test_checker_primality_test_agrees_with_the_package():
     # The checker's own 13-base Miller-Rabin below psi_13, against the
     # package's graded test, on every n below 10^5 and on the draws around

@@ -33,6 +33,7 @@ from helpers import (
     mat_det,
     mat_inv,
     padic,
+    phi,
     poly,
     random_dense_mat,
     random_ed_polynomial,
@@ -61,7 +62,6 @@ from edcert.certify import (
     default_t_grid,
     lower_transform,
     one_param_member,
-    phi,
 )
 from edcert.cli import certificate_to_json, validate_certificate_json
 from edcert.exact_arith import TRIAL_BOUND, _first_range_primes, is_probable_prime
@@ -658,9 +658,10 @@ def test_a_hit_prime_divides_n_or_the_upper_ratio():
 
 
 def test_a_rational_point_is_an_int_or_a_fraction():
-    # FormalPoly.eval, taylor_shift, phi and one_param_member take t exactly
-    # and agree on what is not a rational point: a float such as 0.5 raises
-    # TypeError in each, as does 0.0, where a shift by zero returns at once.
+    # FormalPoly.eval, taylor_shift and one_param_member, three public
+    # functions, and the test helper phi take t exactly and agree on what is
+    # not a rational point: a float such as 0.5 raises TypeError in each, as
+    # does 0.0, where a shift by zero returns at once.
     A = poly(8, 4, 1)
     takers = (A.eval, A.taylor_shift, lambda t: phi(A, t), lambda t: one_param_member(A, t))
     for t in (0.5, 0.0, 1.0, Decimal("0.5"), "1/2", None, 1j):
@@ -828,11 +829,13 @@ def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
     # tests no number of 4096^2 or more for primality; factoring in full
     # first tests the cofactor 18535848059 of mixed-lowdeg/0226.  Their values
     # are all below (TRIAL_BOUND + 1)^2, so nothing is stripped of band 1
-    # either.  A hit with a tail of (TRIAL_BOUND + 1)^2 or more still strips
-    # its values and factors its tails, for its flag.
-    calls, operands, strips = [], [], []
-    real_factor, real_test, real_strip = (certify_module.factor, exact_arith_module.is_probable_prime,
-                                          exact_arith_module._strip)
+    # either, and the paper's set is never built.  A hit with a tail of
+    # (TRIAL_BOUND + 1)^2 or more still builds it once, stripping its values
+    # and factoring its tails, for its flag.
+    calls, operands, strips, sets = [], [], [], []
+    real_factor, real_test, real_strip, real_set = (
+        certify_module.factor, exact_arith_module.is_probable_prime, exact_arith_module._strip,
+        certify_module._paper_set)
 
     def counted_factor(n, **kwargs):
         calls.append(n)
@@ -846,31 +849,40 @@ def test_a_hit_below_4096_factors_nothing_in_full(monkeypatch):
         strips.append(n)
         return real_strip(n, primes, found)
 
+    def counted_set(*args):
+        sets.append(args)
+        return real_set(*args)
+
     monkeypatch.setattr(certify_module, "factor", counted_factor)
     monkeypatch.setattr(exact_arith_module, "is_probable_prime", counted_test)
     monkeypatch.setattr(valuation_module, "is_probable_prime", counted_test)
     monkeypatch.setattr(certify_module, "_strip", counted_strip)
     monkeypatch.setattr(exact_arith_module, "_strip", counted_strip)
+    monkeypatch.setattr(certify_module, "_paper_set", counted_set)
     # x^2 + 4x + 8, and mixed-lowdeg/0226, an input at the median certify time
     for A in (poly(8, 4, 1), poly(28, -686, -2058, 98, -196, 294, -196)):
         assert max(_ratio_values(A)[0]) < (TRIAL_BOUND + 1) ** 2, A
         cert = certify_search(A)
         assert cert.irreducible and cert.prime < 4096 and cert.candidate_primes_complete
         assert calls == [] and operands and max(operands) < 4096**2, (A, operands)
-        assert strips == [], (A, strips)
+        assert strips == [] and sets == [], (A, strips, sets)
     cert = certify_search(cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000))
-    assert cert.irreducible and cert.prime == 13 and calls and strips
+    assert cert.irreducible and cert.prime == 13 and calls and strips and len(sets) == 1
     assert _INCOMPLETE in certificate_to_json(cert)["audit"]
 
 
 def test_a_search_strips_each_value_once_and_factors_each_tail_once(monkeypatch):
-    # x^2 + 4099 misses in band 1 ({2}) and hits at 4099, a tail; Phi_13(x + 4)
-    # hits at 13 in band 1 and factors its large tails for the flag.  Each
-    # computes its values once, and strips them of band 1 once, on first need.
+    # x^2 + 4099 misses in band 1 ({2}) and hits at 4099, a tail; so does
+    # x^2 + 4099 (10^9 + 7), whose flag then needs the set too, as its value
+    # is above (TRIAL_BOUND + 1)^2; Phi_13(x + 4) hits at 13 in band 1 and
+    # factors its large tails for the flag.  Each computes its values once,
+    # and builds the paper's set from them once, on first need, stripping
+    # them of band 1 once.
     first_range_product = math.prod(p for p in range(2, 4096) if is_probable_prime(p))
-    computed, strips, operands = [], [], []
-    real_values, real_bands, real_factor = (certify_module._ratio_values, certify_module._bands,
-                                            certify_module.factor)
+    computed, strips, operands, sets = [], [], [], []
+    real_values, real_bands, real_factor, real_set = (
+        certify_module._ratio_values, certify_module._bands, certify_module.factor,
+        certify_module._paper_set)
 
     def counted_values(A):
         computed.append(A)
@@ -884,17 +896,23 @@ def test_a_search_strips_each_value_once_and_factors_each_tail_once(monkeypatch)
         operands.append(n)
         return real_factor(n, **kwargs)
 
+    def counted_set(values, degenerate, rho_budget):
+        sets.append(values)
+        return real_set(values, degenerate, rho_budget)
+
     monkeypatch.setattr(certify_module, "_ratio_values", counted_values)
     monkeypatch.setattr(certify_module, "_bands", counted_bands)
     monkeypatch.setattr(certify_module, "factor", counted_factor)
-    for A, config, prime in ((poly(4099, 0, 1), None, 4099),
+    monkeypatch.setattr(certify_module, "_paper_set", counted_set)
+    for A, config, prime in ((poly(4099, 0, 1), None, 4099), (poly(4099 * (10**9 + 7), 0, 1), None, 4099),
                              (cyclotomic(13).taylor_shift(4), SearchConfig(rho_budget=20_000), 13)):
         computed.clear()
         strips.clear()
         operands.clear()
+        sets.clear()
         cert = certify_search(A, config)
         assert cert.irreducible and cert.prime == prime, A
-        assert computed == [A] and strips == [real_values(A)[0]], A
+        assert computed == [A] and strips == [real_values(A)[0]] and sets == strips, A
         assert operands and len(set(operands)) == len(operands), (A, operands)
         assert all(math.gcd(x, first_range_product) == 1 for x in operands), (A, operands)
 

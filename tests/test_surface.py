@@ -70,7 +70,7 @@ MAT2 = {
 FRACTION_IMPORTERS = {
     "poly": "FormalPoly.coeffs, the documented view, and from_coeffs, its inverse",
     "moebius": "Mat2.entries, the documented view",
-    "certify": "phi and the stage-4 grid t, bench tracer targets",
+    "certify": "the stage-4 grid t of default_t_grid, a bench tracer target",
     "newton_ed": "the Newton-polygon slopes, outputs of the paper",
 }
 
