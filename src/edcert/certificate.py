@@ -27,17 +27,17 @@ equals A g for g = [[a, b], [c, d]] and that W is Eisenstein-Dumas at p.
     and a, b, c, d the integer entries of lam g.  Then A g =
     F(ax+b, cx+d) / (D_A lam^n), so with omega the witness's integer form
     (D_W, omega) and Omega(x) = sum omega_i x^i, W = A g is the identity
-    D_A lam^n Omega(x) = D_W F(ax+b, cx+d) between two integer polynomials of
-    degree at most n.  For c = 0, the paper's triangular action and every
-    matrix the search writes (the identity at stage 1, the shear of U(A) at
-    stage 2), F(ax+b, d) = P(ax+b) with P(y) = sum alpha_i d^(n-i) y^i, so
-    the identity reads D_A lam^n omega_i = D_W a^i P_i for i = 0..n, where
-    P_i are the coefficients of P(y+b): a Taylor shift by synthetic
-    division, n^2/2 multiply-adds.  A full matrix (c != 0) would need a
-    reversal and a second shift as well; the search never writes one (orbit
-    lemma), but the format allows it, so there the identity is tested at
-    the n+1 points x = 0, 1, ..., n, which decide it: both sides have degree
-    at most n.  That costs 2(n+1)^2 multiply-adds.
+    D_A lam^n Omega(x) = D_W F(ax+b, cx+d), decided coefficient by
+    coefficient.  For c = 0 (the paper's triangular action, and every matrix
+    the search writes), F(ax+b, d) = P(ax+b) for P(y) = sum alpha_i d^(n-i)
+    y^i: shift P by b (synthetic division, n^2/2 multiply-adds), then the
+    coefficient of x^i is a^i times that of y^i.  For c != 0, g is
+    triangular, swap, triangular (Bruhat): with Delta = ad - bc,
+    c^n F(ax+b, cx+d) = R(cx+d) for R the reversal of P~(a - Delta u),
+    P~(y) = sum alpha_i c^(n-i) y^i: two shifts around a reversal.  Past
+    _FINGERPRINT_SIZE the sides are first compared at a secret point modulo a
+    prime (Schwartz, JACM 1980), in O(n): a mismatch proves W != A g, and a
+    match falls through to the exact test.
   * (D0)-(D2) at p are read from the integer numerators omega_i = D_W w_i.
     Each valuation is v(D_W) + v(w_i), and the common term cancels:
     v(w_0) - v(w_n) is unchanged in (D1), and in (D2) it adds n v(D_W) to
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 
 from .exact_arith import is_probable_prime
@@ -355,48 +356,50 @@ def _val(m: int, p: int) -> int:
     return k
 
 
-def _binary_form(alpha: list[int], X: int, Y: int) -> int:
-    """sum alpha_i X^i Y^(n-i), by Horner's rule from the top."""
-    acc, Ypow = 0, 1
-    for ai in reversed(alpha):
-        acc = acc * X + ai * Ypow
-        Ypow *= Y
-    return acc
+#: Past n (n + b), b the largest bit length of lam and g, _acts_to first compares
+#: both sides modulo _Q at _R (an exact test takes 1 ms at 4096; bench certificates <= 216).
+_FINGERPRINT_SIZE = 4096
+_Q = 2**61 - 1
+_R = int.from_bytes(os.urandom(8), "big") % _Q  # secret: no certificate can aim at it
+
+
+def _shifted(alpha: list[int], e: int, s: int) -> list[int]:
+    """The coefficients of P(y + s), P = sum alpha_i e^(n-i) y^i, by synthetic division."""
+    n = len(alpha) - 1
+    P, epow = alpha[:], 1
+    for i in range(n, -1, -1):
+        P[i], epow = P[i] * epow, epow * e
+    if s:
+        for i in range(n):
+            acc = P[n]
+            for j in range(n - 1, i - 1, -1):
+                acc = P[j] = P[j] + s * acc
+    return P
 
 
 def _acts_to(D: int, alpha: list[int], g: list[int], lam: int, Dw: int, omega: list[int]) -> bool:
-    """Whether the witness (Dw, omega) is the input (D, alpha) acted on by the
-    matrix with integer entries g = lam * [a, b, c, d]: the identity
-    D lam^n Omega(x) = Dw F(ax+b, cx+d) of the module docstring, checked
-    coefficient by coefficient for c = 0 and at x = 0..n otherwise (see
-    there)."""
+    """Whether (Dw, omega) is (D, alpha) acted on by g / lam: W = A g of the module docstring."""
     n = len(alpha) - 1
     if len(omega) != n + 1:
         return False
     a, b, c, d = g
-    scale = D * lam**n
-    if c == 0:
-        P, dpow = alpha[:], 1
-        for i in range(n, -1, -1):
-            P[i] *= dpow
-            dpow *= d
-        if b:
-            for i in range(n):
-                acc = P[n]
-                for j in range(n - 1, i - 1, -1):
-                    acc = P[j] = P[j] + b * acc
-        apow = Dw
-        for w, Pi in zip(omega, P):
-            if scale * w != apow * Pi:
-                return False
-            apow *= a
-        return True
-    for k in range(n + 1):
-        value = 0
-        for w in reversed(omega):
-            value = value * k + w
-        if scale * value != Dw * _binary_form(alpha, a * k + b, c * k + d):
+    if n * (n + max(lam, abs(a), abs(b), abs(c), abs(d)).bit_length()) > _FINGERPRINT_SIZE:
+        X, Y, Ypow, left, right = (a * _R + b) % _Q, (c * _R + d) % _Q, 1, 0, 0
+        for w, ai in zip(reversed(omega), reversed(alpha)):
+            left = (left * _R + w) % _Q
+            right = (right * X + ai * Ypow) % _Q
+            Ypow = Ypow * Y % _Q
+        if D * pow(lam, n, _Q) * left % _Q != Dw * right % _Q:
             return False
+    if c == 0:
+        P, v, scale = _shifted(alpha, d, b), a, D * lam**n
+    else:
+        P, v, scale = _shifted(_shifted(alpha, c, a)[::-1], b * c - a * d, d), c, D * (lam * c) ** n
+    vpow = Dw
+    for w, Pk in zip(omega, P):
+        if scale * w != vpow * Pk:
+            return False
+        vpow *= v
     return True
 
 
@@ -427,14 +430,11 @@ def _ed_report(omega: list[int], p: int) -> tuple[bool, bool, bool, int | None, 
 def validate_certificate_json(data: object) -> tuple[bool, str]:
     """Re-derive everything an irreducibility certificate claims.
 
-    Re-reads the input, decides witness = act(input, transform) coefficient
-    by coefficient for a triangular transform and by evaluation at n+1
-    points for a full one, and re-derives the Eisenstein-Dumas report,
-    comparing it bit for bit, in type as well as in value, with the stored
-    one (see the module docstring).  A formal degree below 2 is refused, as
-    by the search, before the stated prime is tested.  Inconclusive
-    certificates only get a shape check.  Total: any malformed JSON value
-    gives (False, reason), never an exception.
+    Re-reads the input, decides witness = act(input, transform), and re-derives
+    the Eisenstein-Dumas report, which must equal the stored one in type and
+    value.  A formal degree below 2 is refused, as by the search, before the
+    stated prime is tested.  Inconclusive certificates get a shape check only.
+    Total: any malformed JSON value gives (False, reason), never an exception.
     """
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"

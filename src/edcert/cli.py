@@ -56,10 +56,10 @@ def _int_arg(text: str) -> int:
     """An integer flag (--prime, --formal-degree) as the grammar reads one:
     [sign] and ASCII digits, whitespace around; more than MAX_DIGITS digits
     are refused with a message of ours, and anything else is echoed clipped."""
-    if (size := len(text.strip().lstrip("+-"))) > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"integer of {size} digits exceeds the limit {MAX_DIGITS}")
     if (m := _RATIONAL.fullmatch(text)) is None or m[2] is not None:
         raise argparse.ArgumentTypeError(f"invalid integer {_clip(repr(text))}")
+    if (size := len(m[1].lstrip("+-"))) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"integer of {size} digits exceeds the limit {MAX_DIGITS}")
     return int(m[1])
 
 

@@ -5,8 +5,11 @@ import ast
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from edcert import (
     Certificate,
@@ -21,8 +24,10 @@ from edcert import (
     moebius,
     poly,
     read_certificate,
+    upper_transform,
     validate_certificate_json,
 )
+from edcert.certificate import read_rational
 from edcert.cli import parse_poly
 from helpers import (
     PSI,
@@ -33,6 +38,7 @@ from helpers import (
     primality_draws,
     random_dense_mat,
     random_ed_polynomial,
+    random_int_poly,
     reference_acts_to,
     reference_is_probable_prime,
     reference_validate_certificate_json,
@@ -171,10 +177,10 @@ def _integer_parts(coeffs) -> tuple[int, list[int]]:
     return certificate._integer_form([(c.numerator, c.denominator) for c in coeffs])
 
 
-def _action_case(rng: random.Random, triangular: bool):
+def _action_case(rng: random.Random, triangular: bool, degrees: tuple[int, int] = (1, 30)):
     """(input, matrix) with rational entries: upper triangular with a != d,
     b = 0 one time in ten, or full; every entry of either sign."""
-    n = rng.randint(1, 30)
+    n = rng.randint(*degrees)
     cs = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(n + 1)]
     cs[n] = cs[n] or Fraction(rng.choice((-1, 1)))
     A = FormalPoly.from_coeffs(cs)
@@ -187,16 +193,25 @@ def _action_case(rng: random.Random, triangular: bool):
     return A, mat(a, b, 0, d)
 
 
-def test_triangular_identity_agrees_with_evaluation_at_n_plus_1_points():
-    # The checker decides W = A g for c = 0 coefficient by coefficient, by a
-    # Taylor shift of the scaled input; the reference evaluates both sides at
-    # n+1 points.  Each case is checked with its true witness, which both
-    # accept, and with one witness numerator moved by 1, which both refuse.
+def _identity_size(entries: list[int], lam: int, n: int) -> int:
+    """The size _acts_to compares with _FINGERPRINT_SIZE."""
+    return n * (n + max(x.bit_length() for x in (lam, *entries)))
+
+
+def test_triangular_identity_agrees_with_evaluation_at_n_plus_1_points(monkeypatch):
+    # The checker decides W = A g coefficient by coefficient: for c = 0 by a
+    # Taylor shift of the scaled input, for c != 0 by two shifts around a
+    # reversal; the reference evaluates both sides at n+1 points.  Each case
+    # is checked with its true witness, which both accept, and with one
+    # witness numerator moved by 1, which both refuse.  Forty full matrices
+    # act at degree 60 to 100, past _FINGERPRINT_SIZE, and every case is
+    # decided again with the fingerprint off, so that the exact test refuses
+    # the nudge there too.
     rng = random.Random(1701)
-    kinds = {"triangular": 0, "b = 0": 0, "full": 0}
-    for case in range(1200):
-        triangular = case % 6 != 5
-        A, g = _action_case(rng, triangular)
+    kinds = {"triangular": 0, "b = 0": 0, "full": 0, "full, fingerprinted": 0}
+    cases = [(case % 6 != 5, (1, 30)) for case in range(1200)] + [(False, (60, 100))] * 40
+    for triangular, degrees in cases:
+        A, g = _action_case(rng, triangular, degrees)
         W = act(A, g)
         lam, entries = _integer_parts(g.entries())
         args = (A.den, list(A.nums), entries, lam)
@@ -205,8 +220,121 @@ def test_triangular_identity_agrees_with_evaluation_at_n_plus_1_points():
         for omega, want in ((list(W.nums), True), (nudged, False)):
             assert reference_acts_to(*args, W.den, omega) is want, (A, g)
             assert certificate._acts_to(*args, W.den, omega) is want, (A, g, omega)
+            with monkeypatch.context() as m:
+                m.setattr(certificate, "_FINGERPRINT_SIZE", float("inf"))
+                assert certificate._acts_to(*args, W.den, omega) is want, (A, g, omega)
+        if not triangular and _identity_size(entries, lam, A.formal_degree) > certificate._FINGERPRINT_SIZE:
+            kinds["full, fingerprinted"] += 1
         kinds["full" if not triangular else "b = 0" if entries[1] == 0 else "triangular"] += 1
-    assert kinds["triangular"] > 800 and kinds["b = 0"] > 50 and kinds["full"] == 200, kinds
+    assert kinds["triangular"] > 800 and kinds["b = 0"] > 50 and kinds["full"] == 240, kinds
+    assert kinds["full, fingerprinted"] > 30, kinds
+
+
+def _wrong_witness(n: int, transform: list[str]) -> dict:
+    """A certificate of x^n + 2 at 2 whose witness, n+1 ones, is not the
+    input acted on by transform."""
+    return {
+        "input": f"x^{n} + 2",
+        "formal_degree": n,
+        "verdict": "irreducible",
+        "prime": "2",
+        "transform": transform,
+        "witness_coeffs": ["1"] * (n + 1),
+        "report": {"d0": True, "d1": True, "d2": True, "gcd_value": 1, "failing_index": None},
+        "audit": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [["1/" + "7" * 4300, "0", "0", "1"], ["1/" + "7" * 4300, "1", "1", "1"], ["1", "1", "0", "1"]],
+    ids=["4300-digit scaling", "4300-digit full matrix", "shift by 1"],
+)
+def test_a_wrong_witness_of_degree_1000_is_refused_within_a_second(transform):
+    # lam^1000 has 4.3 million digits, and the exact test built it (and the
+    # Taylor shift) before it compared anything: 65 s for the scaling, and
+    # 10.7 s for the full matrix at degree 300 already.  The two sides now
+    # differ at the fingerprint's point: two Horner passes modulo a prime.
+    data = _wrong_witness(1000, transform)
+    start = time.perf_counter()
+    verdict = validate_certificate_json(data)
+    elapsed = time.perf_counter() - start
+    assert verdict == (False, "witness does not equal act(input, transform)")
+    assert elapsed < 1.0, elapsed
+
+
+def test_honest_full_matrix_certificates_verify():
+    # Conjugates B = E h of Eisenstein-Dumas polynomials E, each certified by
+    # the transform h^-1 and the witness act(B, h^-1) = E, all verify.  One
+    # in twenty has degree 60 to 70, and one in twenty 60-digit entries at
+    # degree 6 to 10, which puts most of them past _FINGERPRINT_SIZE.
+    rng = random.Random(2718)
+    fingerprinted = 0
+    for i in range(1050):
+        degrees, bound = {9: ((60, 70), 9), 19: ((6, 10), 10**60)}.get(i % 20, ((2, 8), 9))
+        E, p = random_ed_polynomial(
+            rng, min_degree=degrees[0], max_degree=degrees[1], max_endpoint_val=2, extra_val=1
+        )
+        h = random_dense_mat(rng, bound)
+        B, g = act(E, h), mat_inv(h)
+        W = act(B, g)
+        assert W == E, (E, h)
+        data = certificate_to_json(Certificate(B, Verdict.IRREDUCIBLE, p, None, g, W, is_ed(W, padic(p))))
+        assert validate_certificate_json(data) == (True, f"witness is Eisenstein-Dumas at p = {p}"), data
+        lam, entries = _integer_parts(g.entries())
+        fingerprinted += _identity_size(entries, lam, B.formal_degree) > certificate._FINGERPRINT_SIZE
+    assert fingerprinted > 80, fingerprinted
+
+
+def _reducible_draw(rng: random.Random, kind: str) -> tuple[FormalPoly, list[int]]:
+    """(A, primes): A a product B C of factors of degree 1 to 20, or a square
+    B^2; for kind "ED product", B and C are Eisenstein-Dumas at one prime q
+    with one slope, so that by Dumas only (D1) refuses A at q, and primes is
+    [q].  A is conjugated by a random full matrix when kind says so."""
+    primes = []
+    if kind.startswith("ED product"):
+        B, q = random_ed_polynomial(rng, min_degree=1, max_degree=20, max_unit=9, max_endpoint_val=2)
+        v = padic(q)
+        gap = v.val(B.nums[0]) - v.val(B.nums[-1])
+        while True:  # an equal slope needs an equal degree, as gcd(gap, n) = 1
+            C, _ = random_ed_polynomial(rng, prime=q, degree=B.formal_degree, max_unit=9, max_endpoint_val=2)
+            if v.val(C.nums[0]) - v.val(C.nums[-1]) == gap:
+                break
+        primes.append(q)
+    else:
+        B = random_int_poly(rng, 1, 20, coeff_bound=20)
+        C = B if kind.startswith("square") else random_int_poly(rng, 1, 20, coeff_bound=20)
+    A = B.mul(C)
+    return (act(A, random_dense_mat(rng, 5)) if kind.endswith("conjugated") else A), primes
+
+
+def test_no_forged_certificate_of_a_reducible_input_is_accepted():
+    # No conjugate of a reducible polynomial is Eisenstein-Dumas at any prime
+    # (Dumas), so every certificate that claims one is a forgery, whatever
+    # its prime and transform.  Each forgery here is the strongest one: the
+    # true witness W = A g and the very report the checker recomputes, so
+    # only the checker's Eisenstein-Dumas test can refuse it.  The (p, g)
+    # pairs are sampled from p <= 47 and g among the identity, U(A)'s shear
+    # and a random full matrix; the witnesses are honest identities, so this
+    # runs _acts_to's full-matrix path on every third certificate.
+    rng = random.Random(1313)
+    primes = [q for q in range(2, 48) if is_probable_prime(q)]
+    kinds = [f"{k}{c}" for k in ("product", "ED product", "square") for c in ("", ", conjugated")]
+    keys = ("d0", "d1", "d2", "gcd_value", "failing_index")
+    refused = "witness is not an Eisenstein-Dumas polynomial at the stated prime"
+    only_d1 = 0  # forgeries that (D1) alone refuses, with v(w_0) != v(w_n)
+    for i in range(180):
+        A, at = _reducible_draw(rng, kinds[i % len(kinds)])
+        for g in (mat(1, 0, 0, 1), upper_transform(A)[0], random_dense_mat(rng, 9)):
+            W = act(A, g)
+            for p in at + rng.sample([q for q in primes if q not in at], 4 - len(at)):
+                data = certificate_to_json(Certificate(A, Verdict.IRREDUCIBLE, p, None, g, W, is_ed(W, padic(p))))
+                _, omega = certificate._integer_form([read_rational(x) for x in data["witness_coeffs"]])
+                report = certificate._ed_report(omega, p)
+                data["report"] = dict(zip(keys, report))
+                assert validate_certificate_json(data) == (False, refused), (kinds[i % len(kinds)], data)
+                only_d1 += report[:3] == (True, False, True) and report[3] < A.formal_degree
+    assert only_d1 > 60, only_d1
 
 
 def _valid_text() -> str:

@@ -9,7 +9,7 @@ import pytest
 import edcert.certificate
 import edcert.cli
 from edcert import Certificate, Factorization, FormalPoly, Mat2, Verdict, act, is_ed
-from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _decimal
+from edcert.certificate import MAX_DEGREE, MAX_DIGITS, PolyParseError, _clip, _decimal
 from edcert.cli import (
     certificate_to_json,
     format_matrix,
@@ -436,6 +436,22 @@ def test_integer_flags_echo_a_long_value_clipped(argv, capsys):
         assert main(argv + ["7" * 4299 + "8"]) == 2
         err = capsys.readouterr().err
         assert err == "error: 77777777777777777777... (4300 characters) is not prime\n"
+
+
+@pytest.mark.parametrize("flag", ["--prime", "--formal-degree"])
+def test_a_long_value_that_is_no_integer_is_called_invalid(flag, capsys):
+    # The digit limit counted characters before the grammar was matched, so
+    # 5000 z's were "an integer of 5000 digits"; it now counts the digits of
+    # the match, and a value the grammar refuses is echoed clipped.
+    other = ["--prime", "7"] if flag == "--formal-degree" else ["--formal-degree", "2"]
+    for value in ("z" * 5000, "7" * MAX_DIGITS + "x", "7" * 4000 + " " * 1000 + "7"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ed-check", "--poly", "x^2+7", *other, flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"invalid integer {_clip(repr(value))}" in err, err
+        assert "digits exceeds" not in err and len(err) < 300, err
+    digit = "7" if flag == "--prime" else "2"
+    assert main(["ed-check", "--poly", "x^2+7", *other, flag, " " * 5000 + digit]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--prime", "--formal-degree"])
